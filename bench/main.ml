@@ -581,9 +581,20 @@ let fibers_pass () =
         incr sampled;
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
         Net.Wire.write_frame fd ~id:i Net.Wire.Ping;
-        match Net.Wire.read_frame fd with
-        | Net.Wire.Frame (_, Net.Wire.Pong) -> incr alive
-        | _ -> ()
+        let stream = Net.Wire.Stream.create () and buf = Bytes.create 64 in
+        let rec pong () =
+          match Net.Wire.Stream.next stream with
+          | `Frame (_, Net.Wire.Pong) -> true
+          | `Need_more -> (
+              match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> false
+              | n ->
+                  Net.Wire.Stream.feed stream buf 0 n;
+                  pong ()
+              | exception Unix.Unix_error _ -> false)
+          | _ -> false
+        in
+        if pong () then incr alive
       end)
     idle;
   Array.iter

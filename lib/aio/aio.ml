@@ -264,6 +264,7 @@ type t = {
   src : source;
   ready : task Queue.t;
   timers : waker Machine.Heap.t;
+  mutable timers_compact_at : int;  (* heap length that triggers a sweep *)
   reads : (int, waker list ref) Hashtbl.t;
   writes : (int, waker list ref) Hashtbl.t;
   masks : (int, int) Hashtbl.t;  (* last mask pushed to src_mod, per fd *)
@@ -345,7 +346,16 @@ let fiber_done t fb =
   t.live <- t.live - 1;
   M.add_gauge m_fibers_live (-1.0)
 
-let add_timer t ~at w = Machine.Heap.push t.timers ~time:at w
+(* A timer whose waker fired for another reason (the descriptor became
+   ready first) stays queued until its deadline.  A client that bounds
+   every round trip leaves one such timer per request, so drop the
+   fired ones whenever the heap doubles past its last live size. *)
+let add_timer t ~at w =
+  if Machine.Heap.length t.timers >= t.timers_compact_at then begin
+    Machine.Heap.filter t.timers (fun w -> not w.w_fired);
+    t.timers_compact_at <- max 1024 (2 * Machine.Heap.length t.timers)
+  end;
+  Machine.Heap.push t.timers ~time:at w
 
 (* push the fd's combined interest mask to the source iff it changed;
    every mutation of t.reads/t.writes below is followed by one of these *)
@@ -474,6 +484,7 @@ let create ?source () =
     src;
     ready = Queue.create ();
     timers = Machine.Heap.create ();
+    timers_compact_at = 1024;
     reads = Hashtbl.create 64;
     writes = Hashtbl.create 16;
     masks = Hashtbl.create 64;

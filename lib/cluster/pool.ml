@@ -52,8 +52,6 @@ let with_client t f =
           checkin t c ~healthy:false;
           raise e)
 
-let idle_count t = with_lock t (fun () -> List.length t.idle)
-
 let close_all t =
   let drained =
     with_lock t (fun () ->

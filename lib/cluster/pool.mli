@@ -1,11 +1,12 @@
-(** A small pool of {!Net.Client} connections to one shard.
+(** A small pool of blocking {!Net.Client} connections to one peer,
+    for the {!Replicator}'s sender thread.  (The proxy relays on its
+    event loop with fiber-side connections and does not use it.)
 
-    The proxy runs one pool per shard; a request checks a connection
-    out, does one round trip, and returns it.  A connection that saw a
-    transport error is closed instead of returned, so the pool never
-    recycles a socket in an unknown state.  Checkout never blocks: when
-    the idle list is empty a fresh connection is dialed — the in-flight
-    budget upstream bounds how many can exist at once. *)
+    A push checks a connection out, does one round trip, and returns
+    it.  A connection that saw a transport error is closed instead of
+    returned, so the pool never recycles a socket in an unknown state.
+    Checkout never blocks: when the idle list is empty a fresh
+    connection is dialed. *)
 
 type t
 
@@ -17,9 +18,6 @@ val with_client : t -> (Net.Client.t -> ('a, string) result) -> ('a, string) res
 (** Check a connection out (dialing if necessary), run [f], return it.
     [Error] from [f] closes the connection and is returned verbatim;
     an exception from [f] closes the connection and re-raises. *)
-
-val idle_count : t -> int
-(** Idle connections currently retained (observability). *)
 
 val close_all : t -> unit
 (** Close every idle connection.  In-flight ones are closed by their

@@ -2,14 +2,16 @@
    event-loop thread runs an accept fiber plus, per client connection,
    a reader fiber (Wire.Stream decode, per-frame deadlines) and a
    writer fiber (the single producer on the socket, so pipelined
-   replies never interleave — the old per-connection write mutex is now
-   a mailbox).  Each admitted submit gets a relay *fiber*, not a relay
-   thread: the blocking shard round trip (Pool / Net.Client are
-   synchronous) runs on a small fixed executor pool, fulfils a promise,
-   and the relay fiber suspends in [Aio.await] until the reply comes
-   back through the scheduler's completion queue.  A thousand clients
-   cost a thousand fibers and one poll set; the thread count is fixed at
-   the executor width however many requests are in flight. *)
+   replies never interleave).  Each admitted submit gets a relay fiber
+   that makes its shard round trip itself, on a fiber-side
+   Net.Client connection ([Net.Client.connect_fiber]) checked out of
+   the shard's idle list: connect, send and reply all suspend the
+   fiber on the same loop.  At most [upstream_width] round trips run
+   at once; excess relays suspend for a slot.  The loop is the only
+   thread that touches upstreams, route counters and the topology
+   barrier, so none of them takes a lock.  The proxy's threads are
+   the loop and the membership prober, however many requests are in
+   flight. *)
 
 module M = Obs.Metrics
 
@@ -34,73 +36,6 @@ let default_cfg =
     shard_timeout_s = 60.0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Relay executor: the fixed pool of threads that run the blocking
-   shard round trips on behalf of relay fibers.  The queue is
-   unbounded, but the proxy's in-flight budget already caps how many
-   jobs can be outstanding, so it never grows past [max_inflight].     *)
-(* ------------------------------------------------------------------ *)
-
-module Exec = struct
-  type t = {
-    mu : Mutex.t;
-    cv : Condition.t;
-    jobs : (unit -> unit) Queue.t;
-    mutable closed : bool;
-    mutable workers : Thread.t list;
-  }
-
-  let worker e =
-    let rec loop () =
-      Mutex.lock e.mu;
-      while Queue.is_empty e.jobs && not e.closed do
-        Condition.wait e.cv e.mu
-      done;
-      if Queue.is_empty e.jobs then Mutex.unlock e.mu
-      else begin
-        let job = Queue.pop e.jobs in
-        Mutex.unlock e.mu;
-        (try job () with _ -> ());
-        loop ()
-      end
-    in
-    loop ()
-
-  let create n =
-    let e =
-      {
-        mu = Mutex.create ();
-        cv = Condition.create ();
-        jobs = Queue.create ();
-        closed = false;
-        workers = [];
-      }
-    in
-    e.workers <- List.init (max 1 n) (fun _ -> Thread.create worker e);
-    e
-
-  let submit e job =
-    Mutex.lock e.mu;
-    if e.closed then begin
-      Mutex.unlock e.mu;
-      false
-    end
-    else begin
-      Queue.push job e.jobs;
-      Condition.signal e.cv;
-      Mutex.unlock e.mu;
-      true
-    end
-
-  let shutdown e =
-    Mutex.lock e.mu;
-    e.closed <- true;
-    Condition.broadcast e.cv;
-    Mutex.unlock e.mu;
-    List.iter Thread.join e.workers;
-    e.workers <- []
-end
-
 type conn = {
   c_fd : Unix.file_descr;
   c_out : string Aio.Mailbox.mb;  (* encoded frames for the writer *)
@@ -108,30 +43,38 @@ type conn = {
   mutable c_alive : int;  (* reader + outstanding relay fibers *)
 }
 
+(* one shard's upstream side: idle fiber connections and the shard's
+   route counter *)
+type upstream = {
+  u_cfg : Net.Client.cfg;
+  mutable u_idle : Net.Client.t list;
+  mutable u_closed : bool;  (* removed: connections are not kept *)
+  u_routed : M.counter;
+}
+
 type t = {
   cfg : cfg;
   members : Membership.t;
-  mutable pools : (string * Pool.t) list;  (* by shard id; topo_mu *)
+  mutable upstreams : (string * upstream) list;  (* by shard id *)
   listen_fd : Unix.file_descr;
   bound_port : int;
   sched : Aio.t;
-  exec : Exec.t;
   stop : bool Atomic.t;
   draining : bool Atomic.t;
-  inflight : int Atomic.t;
+  mutable inflight : int;
   routed : int Atomic.t;
   failovers : int Atomic.t;
   shed : int Atomic.t;
-  mutable route_counters : (string * M.counter) list;  (* topo_mu *)
+  slots : unit Aio.Mailbox.mb;  (* one token per upstream round trip *)
   (* Topology barrier: a membership change drains in-flight relays
      against the old ring before the new one routes anything.  Relays
-     enter with [relay_begin] (blocking while a change drains) and
+     enter with [relay_begin] (suspending while a change drains) and
      leave with [relay_end]; [change_topology] flips [topo_draining],
-     waits for [active_relays] to hit zero, mutates, and releases. *)
-  topo_mu : Mutex.t;
-  topo_cv : Condition.t;
+     waits for [active_relays] to hit zero, mutates, and releases.
+     Waiters park on [topo_wake]; closing it wakes them all. *)
   mutable topo_draining : bool;
   mutable active_relays : int;
+  mutable topo_wake : unit Aio.Mailbox.mb;
   topo_gen : int Atomic.t;  (* completed topology changes *)
   stale_routes : int Atomic.t;
   read_repairs : int Atomic.t;
@@ -211,22 +154,25 @@ let producer_finished conn =
 (* Topology barrier                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let topo_wait t = ignore (Aio.Mailbox.take t.topo_wake)
+
+let topo_broadcast t =
+  let mb = t.topo_wake in
+  t.topo_wake <- Aio.Mailbox.create ();
+  Aio.Mailbox.close mb
+
 let relay_begin t =
-  Mutex.lock t.topo_mu;
   while t.topo_draining do
-    Condition.wait t.topo_cv t.topo_mu
+    topo_wait t
   done;
-  t.active_relays <- t.active_relays + 1;
-  Mutex.unlock t.topo_mu
+  t.active_relays <- t.active_relays + 1
 
 let relay_end t =
-  Mutex.lock t.topo_mu;
   t.active_relays <- t.active_relays - 1;
-  if t.active_relays = 0 then Condition.broadcast t.topo_cv;
-  Mutex.unlock t.topo_mu
+  if t.active_relays = 0 && t.topo_draining then topo_broadcast t
 
-(* every executor job that touches the ring or the pools runs inside
-   the barrier, so [change_topology] swaps both with nothing in flight *)
+(* every relay that touches the ring or the upstreams runs inside the
+   barrier, so [change_topology] swaps both with nothing in flight *)
 let with_relay_barrier t f =
   relay_begin t;
   Fun.protect ~finally:(fun () -> relay_end t) f
@@ -234,57 +180,95 @@ let with_relay_barrier t f =
 (* Serialize membership changes and drain relays routed on the old
    ring: waiters in [relay_begin] do not hold [active_relays], so the
    drain only waits on relays already past the barrier — bounded by
-   the shard round-trip timeout.  [mutate] runs with the lock held and
-   must touch [t.pools] / [t.route_counters] directly (never through
-   [pool_of], the mutex is not reentrant). *)
+   the shard round-trip timeout.  [mutate] must not suspend. *)
 let change_topology t mutate =
-  Mutex.lock t.topo_mu;
   while t.topo_draining do
-    Condition.wait t.topo_cv t.topo_mu
+    topo_wait t
   done;
   t.topo_draining <- true;
   while t.active_relays > 0 do
-    Condition.wait t.topo_cv t.topo_mu
+    topo_wait t
   done;
-  let finish () =
-    t.topo_draining <- false;
-    Condition.broadcast t.topo_cv;
-    Mutex.unlock t.topo_mu
-  in
-  match mutate () with
-  | Ok _ as result ->
-      Atomic.incr t.topo_gen;
-      M.incr m_topo_changes;
-      finish ();
-      result
-  | Error _ as result ->
-      finish ();
-      result
-  | exception e ->
-      finish ();
-      raise e
+  Fun.protect
+    ~finally:(fun () ->
+      t.topo_draining <- false;
+      topo_broadcast t)
+    (fun () ->
+      let result = mutate () in
+      if Result.is_ok result then begin
+        Atomic.incr t.topo_gen;
+        M.incr m_topo_changes
+      end;
+      result)
 
 (* ------------------------------------------------------------------ *)
 (* Relaying                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pool_of t id =
-  Mutex.lock t.topo_mu;
-  let p = List.assoc_opt id t.pools in
-  Mutex.unlock t.topo_mu;
-  p
+let upstream_width = 16
+let max_idle = 8
 
-let route_counter t id =
-  Mutex.lock t.topo_mu;
-  let c = List.assoc_opt id t.route_counters in
-  Mutex.unlock t.topo_mu;
-  c
+let upstream_of t id = List.assoc_opt id t.upstreams
+
+(* One round trip to a shard on a fiber connection: an idle one is
+   reused, otherwise one is dialed.  A connection that saw an error is
+   closed instead of returned, so no socket is recycled in an unknown
+   state. *)
+let with_upstream t u f =
+  ignore (Aio.Mailbox.take t.slots);
+  Fun.protect ~finally:(fun () -> ignore (Aio.Mailbox.put t.slots ()))
+  @@ fun () ->
+  let conn =
+    match u.u_idle with
+    | c :: rest ->
+        u.u_idle <- rest;
+        Ok c
+    | [] -> Net.Client.connect_fiber u.u_cfg
+  in
+  match conn with
+  | Error _ as e -> e
+  | Ok c -> (
+      match f c with
+      | Ok _ as ok ->
+          if u.u_closed || List.length u.u_idle >= max_idle then
+            Net.Client.close c
+          else u.u_idle <- c :: u.u_idle;
+          ok
+      | Error _ as e ->
+          Net.Client.close c;
+          e
+      | exception e ->
+          Net.Client.close c;
+          raise e)
+
+let close_upstream u =
+  u.u_closed <- true;
+  List.iter Net.Client.close u.u_idle;
+  u.u_idle <- []
+
+let try_reserve t =
+  if t.inflight >= t.cfg.max_inflight then false
+  else begin
+    t.inflight <- t.inflight + 1;
+    M.set_gauge m_inflight (float_of_int t.inflight);
+    true
+  end
+
+let release t =
+  t.inflight <- t.inflight - 1;
+  M.set_gauge m_inflight (float_of_int t.inflight)
+
+let count_shed t =
+  Atomic.incr t.shed;
+  M.incr m_shed
 
 (* Read-repair: a warm full-rung hit served by a shard that is not the
    key's current ring owner (failover landed it there, or ownership
-   moved under a topology change) is pushed back to the owner —
-   fire-and-forget on the executor — so the next request for the key
-   routes straight into a warm cache. *)
+   moved under a topology change) is pushed back to the owner by a
+   fire-and-forget fiber, so the next request for the key routes
+   straight into a warm cache.  The fiber takes a slot of the
+   in-flight budget like any relay; being best-effort, it is skipped
+   when none is left. *)
 let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
   match reply with
   | Net.Wire.R_done
@@ -310,21 +294,23 @@ let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
               cp_notes = r_notes;
             }
           in
-          ignore
-            (Exec.submit t.exec (fun () ->
-                 with_relay_barrier t (fun () ->
-                     match pool_of t owner with
-                     | None -> ()
-                     | Some pool -> (
-                         match
-                           Pool.with_client pool (fun c ->
-                               Net.Client.cache_push c p)
-                         with
-                         | Ok _ ->
-                             Atomic.incr t.read_repairs;
-                             M.incr m_read_repair
-                         | Error _ ->
-                             Membership.note_failure t.members owner))))
+          if try_reserve t then
+            ignore
+              (Aio.spawn (fun () ->
+                   Fun.protect ~finally:(fun () -> release t) @@ fun () ->
+                   with_relay_barrier t (fun () ->
+                       match upstream_of t owner with
+                       | None -> ()
+                       | Some u -> (
+                           match
+                             with_upstream t u (fun c ->
+                                 Net.Client.cache_push c p)
+                           with
+                           | Ok _ ->
+                               Atomic.incr t.read_repairs;
+                               M.incr m_read_repair
+                           | Error _ ->
+                               Membership.note_failure t.members owner))))
       | _ -> ())
   | _ -> ()
 
@@ -347,8 +333,7 @@ let relay_submit t (s : Net.Wire.submit) =
   let candidates = Ring.route ring key ~n:(max 1 t.cfg.failover) in
   let rec go i = function
     | [] ->
-        Atomic.incr t.shed;
-        M.incr m_shed;
+        count_shed t;
         Net.Wire.R_overloaded
     | shard_id :: rest -> (
         let try_next () = go (i + 1) rest in
@@ -358,11 +343,11 @@ let relay_submit t (s : Net.Wire.submit) =
           Atomic.incr t.stale_routes;
           M.incr m_stale
         end;
-        match pool_of t shard_id with
+        match upstream_of t shard_id with
         | None -> try_next ()
-        | Some pool -> (
+        | Some u -> (
             match
-              Pool.with_client pool (fun c ->
+              with_upstream t u (fun c ->
                   Net.Client.submit ~trace:s.Net.Wire.sub_trace c
                     ~name:s.Net.Wire.sub_name
                     ~options:s.Net.Wire.sub_options s.Net.Wire.sub_source)
@@ -375,9 +360,7 @@ let relay_submit t (s : Net.Wire.submit) =
                     try_next ()
                 | reply ->
                     Atomic.incr t.routed;
-                    (match route_counter t shard_id with
-                    | Some c -> M.incr c
-                    | None -> ());
+                    M.incr u.u_routed;
                     if i > 0 then begin
                       Atomic.incr t.failovers;
                       M.incr m_failover
@@ -397,10 +380,10 @@ let relay_cache_push t (p : Net.Wire.cache_push) =
   match Ring.lookup (Membership.ring t.members) p.Net.Wire.cp_key with
   | None -> false
   | Some shard_id -> (
-      match pool_of t shard_id with
+      match upstream_of t shard_id with
       | None -> false
-      | Some pool -> (
-          match Pool.with_client pool (fun c -> Net.Client.cache_push c p) with
+      | Some u -> (
+          match with_upstream t u (fun c -> Net.Client.cache_push c p) with
           | Ok admitted -> admitted
           | Error _ ->
               Membership.note_failure t.members shard_id;
@@ -415,9 +398,9 @@ let relay_cache_push t (p : Net.Wire.cache_push) =
 let fetch_from_shard t (shard : Membership.shard) st f =
   if st = Membership.Down then Error "down"
   else
-    match pool_of t shard.Membership.sh_id with
+    match upstream_of t shard.Membership.sh_id with
     | None -> Error "unknown shard"
-    | Some pool -> Pool.with_client pool f
+    | Some u -> with_upstream t u f
 
 let aggregated_stats_json t =
   let shards =
@@ -487,8 +470,8 @@ let enriched_members_json t =
                  |> String.concat ""
            in
            let idle =
-             match pool_of t shard.Membership.sh_id with
-             | Some p -> Pool.idle_count p
+             match upstream_of t shard.Membership.sh_id with
+             | Some u -> List.length u.u_idle
              | None -> 0
            in
            Printf.sprintf
@@ -534,21 +517,22 @@ let aggregated_stats_text t =
 (* Topology changes                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let shard_pool cfg (s : Membership.shard) =
-  let ccfg =
-    {
-      (Net.Client.default_cfg ~port:s.Membership.sh_port) with
-      Net.Client.host = s.Membership.sh_host;
-      connect_timeout_s = Float.min 5.0 cfg.shard_timeout_s;
-      request_timeout_s = cfg.shard_timeout_s;
-      max_attempts = 2;
-    }
-  in
-  Pool.create ccfg
-
-let shard_route_counter (s : Membership.shard) =
-  M.counter M.global ~help:"submits routed to this shard"
-    (Printf.sprintf "cluster_route_%s_total" s.Membership.sh_id)
+let shard_upstream cfg (s : Membership.shard) =
+  {
+    u_cfg =
+      {
+        (Net.Client.default_cfg ~port:s.Membership.sh_port) with
+        Net.Client.host = s.Membership.sh_host;
+        connect_timeout_s = Float.min 5.0 cfg.shard_timeout_s;
+        request_timeout_s = cfg.shard_timeout_s;
+        max_attempts = 2;
+      };
+    u_idle = [];
+    u_closed = false;
+    u_routed =
+      M.counter M.global ~help:"submits routed to this shard"
+        (Printf.sprintf "cluster_route_%s_total" s.Membership.sh_id);
+  }
 
 (* Best-effort fan-out of an applied change to the shards themselves:
    each cedard rewires its replicator's ring on receipt.  A shard that
@@ -560,11 +544,11 @@ let broadcast_change t ?skip msg =
   |> List.iter (fun ((shard : Membership.shard), st, _) ->
          let id = shard.Membership.sh_id in
          if st <> Membership.Down && skip <> Some id then
-           match pool_of t id with
+           match upstream_of t id with
            | None -> ()
-           | Some pool ->
+           | Some u ->
                ignore
-                 (Pool.with_client pool (fun c ->
+                 (with_upstream t u (fun c ->
                       match msg with
                       | `Add a -> Result.map ignore (Net.Client.cluster_add c a)
                       | `Remove sid ->
@@ -583,14 +567,10 @@ let handle_cluster_add t (a : Net.Wire.cluster_add) =
         match Membership.add_shard t.members shard with
         | Error _ as e -> e
         | Ok epoch ->
-            if not (List.mem_assoc shard.Membership.sh_id t.pools) then
-              t.pools <-
-                (shard.Membership.sh_id, shard_pool t.cfg shard) :: t.pools;
-            if not (List.mem_assoc shard.Membership.sh_id t.route_counters)
-            then
-              t.route_counters <-
-                (shard.Membership.sh_id, shard_route_counter shard)
-                :: t.route_counters;
+            if not (List.mem_assoc shard.Membership.sh_id t.upstreams) then
+              t.upstreams <-
+                (shard.Membership.sh_id, shard_upstream t.cfg shard)
+                :: t.upstreams;
             Ok epoch)
   in
   match outcome with
@@ -616,13 +596,13 @@ let handle_cluster_remove t sid =
         match Membership.remove_shard t.members sid with
         | Error _ as e -> e
         | Ok epoch ->
-            let closing = List.assoc_opt sid t.pools in
-            t.pools <- List.remove_assoc sid t.pools;
+            let closing = upstream_of t sid in
+            t.upstreams <- List.remove_assoc sid t.upstreams;
             Ok (epoch, closing))
   in
   match outcome with
   | Ok (epoch, closing) ->
-      (match closing with Some p -> Pool.close_all p | None -> ());
+      Option.iter close_upstream closing;
       broadcast_change t (`Remove sid);
       {
         Net.Wire.ack_ok = true;
@@ -640,122 +620,73 @@ let handle_cluster_remove t sid =
 (* Per-connection fibers                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec try_reserve t =
-  let cur = Atomic.get t.inflight in
-  if cur >= t.cfg.max_inflight then false
-  else if Atomic.compare_and_set t.inflight cur (cur + 1) then begin
-    M.set_gauge m_inflight (float_of_int (cur + 1));
-    true
-  end
-  else try_reserve t
-
-let release t =
-  Atomic.decr t.inflight;
-  M.set_gauge m_inflight (float_of_int (Atomic.get t.inflight))
-
-(* the aggregated-stats round trips dial every shard synchronously, so
-   they also belong on the executor, not the event loop *)
+(* admin requests that make shard round trips run as relay fibers too *)
 let spawn_relay t conn ~id work =
   conn.c_alive <- conn.c_alive + 1;
   ignore
     (Aio.spawn (fun () ->
-         let pr = Aio.promise () in
-         let ran =
-           Exec.submit t.exec (fun () ->
-               let reply =
-                 try work ()
-                 with _ ->
-                   Net.Wire.Result (Net.Wire.R_error "proxy relay failed")
-               in
-               Aio.fulfil pr reply)
+         let reply =
+           try work ()
+           with _ -> Net.Wire.Result (Net.Wire.R_error "proxy relay failed")
          in
-         if not ran then begin
-           (* executor gone: only possible mid-teardown; shed typed *)
-           Atomic.incr t.shed;
-           M.incr m_shed;
-           Aio.fulfil pr (Net.Wire.Result Net.Wire.R_overloaded)
-         end;
-         (match Aio.await pr with
-         | `Value reply -> send conn ~id reply
-         | `Deadline -> ());
+         send conn ~id reply;
          release t;
          producer_finished conn))
 
+(* reserve the in-flight budget and relay [work] on its own fiber, or
+   answer [busy] at once ([counted] sheds add to the shed total) *)
+let relay_or_busy t conn ~id ?(counted = false) ~busy work =
+  if try_reserve t then spawn_relay t conn ~id work
+  else begin
+    if counted then count_shed t;
+    send conn ~id busy
+  end
+
+let overloaded = Net.Wire.Result Net.Wire.R_overloaded
+
+let topology_busy t =
+  Net.Wire.Cluster_ack
+    {
+      Net.Wire.ack_ok = false;
+      ack_epoch = Membership.epoch t.members;
+      ack_msg = "proxy overloaded; retry the membership change";
+    }
+
 let dispatch t conn ~id msg =
+  let routed work () = with_relay_barrier t work in
   match msg with
   | Net.Wire.Ping ->
       send conn ~id Net.Wire.Pong;
       `Continue
   | Net.Wire.Submit s ->
-      if not (try_reserve t) then begin
-        Atomic.incr t.shed;
-        M.incr m_shed;
-        send conn ~id (Net.Wire.Result Net.Wire.R_overloaded)
-      end
-      else
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Result (relay_submit t s)));
+      relay_or_busy t conn ~id ~counted:true ~busy:overloaded
+        (routed (fun () -> Net.Wire.Result (relay_submit t s)));
       `Continue
   | Net.Wire.Cache_push p ->
-      if not (try_reserve t) then begin
-        Atomic.incr t.shed;
-        M.incr m_shed;
-        send conn ~id (Net.Wire.Cache_ack false)
-      end
-      else
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Cache_ack (relay_cache_push t p)));
+      relay_or_busy t conn ~id ~counted:true ~busy:(Net.Wire.Cache_ack false)
+        (routed (fun () -> Net.Wire.Cache_ack (relay_cache_push t p)));
       `Continue
   | Net.Wire.Stats_req ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Stats_text (aggregated_stats_text t)))
-      else send conn ~id (Net.Wire.Result Net.Wire.R_overloaded);
+      relay_or_busy t conn ~id ~busy:overloaded
+        (routed (fun () -> Net.Wire.Stats_text (aggregated_stats_text t)));
       `Continue
   | Net.Wire.Stats_json_req ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Stats_json (aggregated_stats_json t)))
-      else send conn ~id (Net.Wire.Result Net.Wire.R_overloaded);
+      relay_or_busy t conn ~id ~busy:overloaded
+        (routed (fun () -> Net.Wire.Stats_json (aggregated_stats_json t)));
       `Continue
   | Net.Wire.Members_json_req ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Members_json (enriched_members_json t)))
-      else send conn ~id (Net.Wire.Result Net.Wire.R_overloaded);
+      relay_or_busy t conn ~id ~busy:overloaded
+        (routed (fun () -> Net.Wire.Members_json (enriched_members_json t)));
       `Continue
+  (* topology changes take the drain side of the barrier, never the
+     relay side — not [routed] *)
   | Net.Wire.Cluster_add a ->
-      (* topology changes take the drain side of the barrier, never the
-         relay side — no [with_relay_barrier] here *)
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            Net.Wire.Cluster_ack (handle_cluster_add t a))
-      else
-        send conn ~id
-          (Net.Wire.Cluster_ack
-             {
-               Net.Wire.ack_ok = false;
-               ack_epoch = Membership.epoch t.members;
-               ack_msg = "proxy overloaded; retry the membership change";
-             });
+      relay_or_busy t conn ~id ~busy:(topology_busy t) (fun () ->
+          Net.Wire.Cluster_ack (handle_cluster_add t a));
       `Continue
   | Net.Wire.Cluster_remove sid ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            Net.Wire.Cluster_ack (handle_cluster_remove t sid))
-      else
-        send conn ~id
-          (Net.Wire.Cluster_ack
-             {
-               Net.Wire.ack_ok = false;
-               ack_epoch = Membership.epoch t.members;
-               ack_msg = "proxy overloaded; retry the membership change";
-             });
+      relay_or_busy t conn ~id ~busy:(topology_busy t) (fun () ->
+          Net.Wire.Cluster_ack (handle_cluster_remove t sid));
       `Continue
   | Net.Wire.Metrics_req ->
       send conn ~id (Net.Wire.Metrics_text (M.dump M.global));
@@ -838,8 +769,7 @@ let handle_accept t fd =
   if Atomic.get t.stop then (
     try Unix.close fd with Unix.Unix_error _ -> ())
   else if List.length t.conns >= t.cfg.max_conns then begin
-    Atomic.incr t.shed;
-    M.incr m_shed;
+    count_shed t;
     Unix.set_nonblock fd;
     ignore
       (Aio.spawn (fun () ->
@@ -892,15 +822,9 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
     Membership.create ~vnodes ~probe_ms ~down_after
       ~timeout_s:(Float.min 1.0 cfg.shard_timeout_s) ~seed shards
   in
-  let pools =
+  let upstreams =
     List.map
-      (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_pool cfg s))
-      shards
-  in
-  let route_counters =
-    List.map
-      (fun (s : Membership.shard) ->
-        (s.Membership.sh_id, shard_route_counter s))
+      (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_upstream cfg s))
       shards
   in
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -922,22 +846,20 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
     {
       cfg;
       members;
-      pools;
+      upstreams;
       listen_fd;
       bound_port;
       sched = Aio.create ();
-      exec = Exec.create 16;
       stop = Atomic.make false;
       draining = Atomic.make false;
-      inflight = Atomic.make 0;
+      inflight = 0;
       routed = Atomic.make 0;
       failovers = Atomic.make 0;
       shed = Atomic.make 0;
-      route_counters;
-      topo_mu = Mutex.create ();
-      topo_cv = Condition.create ();
+      slots = Aio.Mailbox.create ~capacity:upstream_width ();
       topo_draining = false;
       active_relays = 0;
+      topo_wake = Aio.Mailbox.create ();
       topo_gen = Atomic.make 0;
       stale_routes = Atomic.make 0;
       read_repairs = Atomic.make 0;
@@ -952,6 +874,9 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       (Thread.create
          (fun () ->
            Aio.run t.sched (fun () ->
+               for _ = 1 to upstream_width do
+                 ignore (Aio.Mailbox.put t.slots ())
+               done;
                t.accept_fiber <- Some (Aio.self ());
                accept_loop t))
          ());
@@ -991,15 +916,8 @@ let drain t =
     | None -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Membership.stop t.members;
-    (* all relay fibers are done, so the executor is idle *)
-    Exec.shutdown t.exec;
-    let pools =
-      Mutex.lock t.topo_mu;
-      let p = t.pools in
-      Mutex.unlock t.topo_mu;
-      p
-    in
-    List.iter (fun (_, p) -> Pool.close_all p) pools
+    (* the loop has exited, so nothing else touches the upstreams *)
+    List.iter (fun (_, u) -> close_upstream u) t.upstreams
   end
 
 let routed_total t = Atomic.get t.routed

@@ -6,8 +6,11 @@
     the same canonical key the shards use ({!Service.Server.cache_key})
     and routed to the key's ring owner, so the same program always
     lands on the same shard — and therefore in the same warm cache.
-    Requests pipeline: each admitted submit is relayed on its own
-    thread through a per-shard connection pool.
+    Requests pipeline: each admitted submit is relayed by its own fiber
+    on the proxy's event loop, over a reused per-shard connection.  At
+    most 16 shard round trips run at once; further relays wait for one
+    to finish.  The proxy runs two threads, the loop and the membership
+    prober, however many requests are in flight.
 
     Failure handling, in order of preference: a shard that answers
     typed (even [R_overloaded]) is believed; a transport failure demotes
@@ -63,8 +66,8 @@ val create :
   Membership.shard list ->
   t
 (** Start the proxy over the given shards: builds the membership view
-    (with its jittered probe loop), the per-shard pools, and the
-    accept thread.  Ring parameters must match the shards' replicators
+    (with its jittered probe thread) and starts the event-loop thread
+    that accepts clients and relays their requests.  Ring parameters must match the shards' replicators
     ([vnodes], default 64). *)
 
 val port : t -> int
@@ -80,7 +83,7 @@ val wait_stop : t -> unit
 
 val drain : t -> unit
 (** Stop accepting, finish in-flight relays, stop probing, close the
-    pools.  Idempotent. *)
+    idle shard connections.  Idempotent. *)
 
 val routed_total : t -> int
 (** Submits relayed to a shard (first attempt or failover). *)

@@ -47,6 +47,23 @@ let push h ~time payload =
     i := parent
   done
 
+let sift_down h i =
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if l < h.size && before h.data.(l) h.data.(!smallest) then smallest := l;
+    if r < h.size && before h.data.(r) h.data.(!smallest) then smallest := r;
+    if !smallest <> !i then begin
+      let tmp = h.data.(!smallest) in
+      h.data.(!smallest) <- h.data.(!i);
+      h.data.(!i) <- tmp;
+      i := !smallest
+    end
+    else continue := false
+  done
+
 let pop h =
   if h.size = 0 then None
   else begin
@@ -54,24 +71,21 @@ let pop h =
     h.size <- h.size - 1;
     if h.size > 0 then begin
       h.data.(0) <- h.data.(h.size);
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && before h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.size && before h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.data.(!smallest) in
-          h.data.(!smallest) <- h.data.(!i);
-          h.data.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done
+      sift_down h 0
     end;
     Some (top.time, top.payload)
   end
 
 let peek_time h = if h.size = 0 then None else Some h.data.(0).time
+
+(* compacts the array too; sequence numbers survive, so ties still
+   break by insertion order *)
+let filter h keep =
+  h.data <-
+    Array.sub h.data 0 h.size |> Array.to_list
+    |> List.filter (fun e -> keep e.payload)
+    |> Array.of_list;
+  h.size <- Array.length h.data;
+  for i = (h.size / 2) - 1 downto 0 do
+    sift_down h i
+  done

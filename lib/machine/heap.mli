@@ -10,3 +10,7 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
+
+val filter : 'a t -> ('a -> bool) -> unit
+(** Drop every entry whose payload fails the predicate, in O(n).  The
+    survivors keep their insertion order for ties. *)

@@ -21,10 +21,19 @@ let default_cfg ~port =
     backoff_seed = 0x5eed;
   }
 
+(* how a connection waits: a blocking client parks its thread in the
+   kernel (poll, SO_RCVTIMEO/SO_SNDTIMEO); a fiber client suspends in
+   the Aio loop that owns it.  Everything else — socket setup, retries,
+   reply matching — is the same code for both. *)
+type io = Blocking | Fiber
+
 type t = {
   cfg : cfg;
+  io : io;
   instance : int;  (* decorrelates jitter streams across clients *)
   mutable fd : Unix.file_descr option;
+  mutable stream : Wire.Stream.t;  (* replies; fresh per connection *)
+  buf : Bytes.t;  (* read scratch *)
   mutable next_id : int;
 }
 
@@ -73,9 +82,9 @@ let instance_counter = Atomic.make 0
 (* Connection establishment                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Non-blocking connect + select: a down host fails within
+(* Non-blocking connect + poll: a down host fails within
    [connect_timeout_s] instead of the kernel's minutes-long default. *)
-let connect_once cfg =
+let connect_once io cfg =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   let fail msg =
     (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -99,13 +108,25 @@ let connect_once cfg =
             (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port msg)
       | Ok wait -> (
           let ready =
-            if not wait then true
-            else
-              (* poll, not select: a client in a process already holding
-                 hundreds of connections has descriptors past FD_SETSIZE *)
-              match Aio.poll_fd fd `Write ~timeout_s:cfg.connect_timeout_s with
-              | ready -> ready
-              | exception Unix.Unix_error _ -> false
+            (not wait)
+            ||
+            match io with
+            | Blocking -> (
+                (* poll, not select: a client in a process already
+                   holding hundreds of connections has descriptors past
+                   FD_SETSIZE *)
+                try Aio.poll_fd fd `Write ~timeout_s:cfg.connect_timeout_s
+                with Unix.Unix_error _ -> false)
+            | Fiber -> (
+                match
+                  Aio.wait_writable
+                    ~deadline:(Aio.now () +. cfg.connect_timeout_s)
+                    fd
+                with
+                | r -> r = `Ready
+                | exception e ->
+                    (try Unix.close fd with Unix.Unix_error _ -> ());
+                    raise e)
           in
           if not ready then
             fail
@@ -118,29 +139,31 @@ let connect_once cfg =
                   (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port
                      (Unix.error_message e))
             | None ->
-                Unix.clear_nonblock fd;
                 (try Unix.setsockopt fd Unix.TCP_NODELAY true
                  with Unix.Unix_error _ -> ());
-                if cfg.request_timeout_s > 0.0 then begin
-                  (try
-                     Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-                       cfg.request_timeout_s
-                   with Unix.Unix_error _ -> ());
-                  try
-                    Unix.setsockopt_float fd Unix.SO_SNDTIMEO
-                      cfg.request_timeout_s
-                  with Unix.Unix_error _ -> ()
+                if io = Blocking then begin
+                  Unix.clear_nonblock fd;
+                  if cfg.request_timeout_s > 0.0 then begin
+                    (try
+                       Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+                         cfg.request_timeout_s
+                     with Unix.Unix_error _ -> ());
+                    try
+                      Unix.setsockopt_float fd Unix.SO_SNDTIMEO
+                        cfg.request_timeout_s
+                    with Unix.Unix_error _ -> ()
+                  end
                 end;
                 Ok fd))
 
-let connect_with_backoff ?(instance = 0) cfg =
+let connect_with_backoff io ~instance cfg =
   let rec go attempt last_err =
     if attempt > cfg.max_attempts then
       Error
         (Printf.sprintf "giving up after %d attempts: %s" cfg.max_attempts
            last_err)
     else
-      match connect_once cfg with
+      match connect_once io cfg with
       | Ok fd -> Ok fd
       | Error msg ->
           if attempt = cfg.max_attempts then
@@ -148,17 +171,31 @@ let connect_with_backoff ?(instance = 0) cfg =
               (Printf.sprintf "giving up after %d attempts: %s"
                  cfg.max_attempts msg)
           else begin
-            Thread.delay (backoff_delay cfg ~instance ~attempt);
+            let d = backoff_delay cfg ~instance ~attempt in
+            (match io with Blocking -> Thread.delay d | Fiber -> Aio.sleep d);
             go (attempt + 1) msg
           end
   in
   go 1 "no attempt made"
 
-let connect cfg =
+let connect_io io cfg =
   let instance = Atomic.fetch_and_add instance_counter 1 in
-  match connect_with_backoff ~instance cfg with
-  | Ok fd -> Ok { cfg; instance; fd = Some fd; next_id = 1 }
+  match connect_with_backoff io ~instance cfg with
+  | Ok fd ->
+      Ok
+        {
+          cfg;
+          io;
+          instance;
+          fd = Some fd;
+          stream = Wire.Stream.create ();
+          buf = Bytes.create 16384;
+          next_id = 1;
+        }
   | Error _ as e -> e
+
+let connect cfg = connect_io Blocking cfg
+let connect_fiber cfg = connect_io Fiber cfg
 
 let close t =
   match t.fd with
@@ -180,42 +217,80 @@ let current_fd t =
   match t.fd with
   | Some fd -> Ok fd
   | None -> (
-      match connect_with_backoff ~instance:t.instance t.cfg with
+      match connect_with_backoff t.io ~instance:t.instance t.cfg with
       | Ok fd ->
           t.fd <- Some fd;
+          t.stream <- Wire.Stream.create ();
           Ok fd
       | Error _ as e -> e)
 
-let drop_connection t =
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-      t.fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+let send t ?deadline fd ~id msg =
+  match t.io with
+  | Blocking -> (
+      match Wire.write_frame fd ~id msg with
+      | () -> `Sent
+      | exception Unix.Unix_error (e, _, _) -> `Closed (Unix.error_message e))
+  | Fiber -> (
+      let b = Bytes.unsafe_of_string (Wire.encode ~id msg) in
+      match Aio.write_all ?deadline fd b 0 (Bytes.length b) with
+      | `Ok ->
+          Obs.Metrics.incr ~by:(Bytes.length b) Wire.bytes_written;
+          `Sent
+      | `Closed -> `Closed "connection closed"
+      | `Deadline -> `Deadline)
+
+let rec read t ?deadline fd =
+  match t.io with
+  | Fiber -> Aio.read ?deadline fd t.buf 0 (Bytes.length t.buf)
+  | Blocking -> (
+      match Unix.read fd t.buf 0 (Bytes.length t.buf) with
+      | 0 -> `Eof
+      | n -> `Data n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read t fd
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          `Deadline (* SO_RCVTIMEO expired *)
+      | exception Unix.Unix_error (_, _, _) -> `Eof)
 
 (* One attempt: send the frame, wait for the frame echoing [id] (or an
    unsolicited id-0 reply such as the accept-time Overloaded shed).
    [`Retry] means the connection is dead and the request may be resent
-   on a fresh one; [`Fatal] means retrying cannot help. *)
+   on a fresh one; [`Fatal] means retrying cannot help.  A fiber
+   client bounds the whole attempt by one deadline; a blocking one
+   bounds each send and read by the socket timeouts. *)
 let attempt t fd ~id msg =
-  match Wire.write_frame fd ~id msg with
-  | exception Unix.Unix_error (e, _, _) ->
-      `Retry (Printf.sprintf "send: %s" (Unix.error_message e))
-  | () ->
-      let rec await () =
-        match Wire.read_frame fd with
-        | Wire.Frame (rid, reply) when rid = id || rid = 0 -> `Ok reply
-        | Wire.Frame (_, _) -> await () (* stale reply from a past id *)
-        | Wire.Idle | Wire.Stalled ->
-            `Fatal
-              (Printf.sprintf "request timed out after %.1fs"
-                 t.cfg.request_timeout_s)
-        | Wire.Eof -> `Retry "connection closed by server"
-        | Wire.Oversized (_, got) ->
-            `Fatal (Printf.sprintf "reply too large: %d bytes" got)
-        | Wire.Fail err -> `Retry (Wire.error_to_string err)
-      in
-      await ()
+  let deadline =
+    if t.io = Fiber && t.cfg.request_timeout_s > 0.0 then
+      Some (Aio.now () +. t.cfg.request_timeout_s)
+    else None
+  in
+  let timed_out () =
+    `Fatal
+      (Printf.sprintf "request timed out after %.1fs" t.cfg.request_timeout_s)
+  in
+  let rec await () =
+    match Wire.Stream.next t.stream with
+    | `Frame (rid, reply) when rid = id || rid = 0 -> `Ok reply
+    | `Frame (_, _) -> await () (* stale reply from a past id *)
+    | `Oversized (_, got) ->
+        `Fatal (Printf.sprintf "reply too large: %d bytes" got)
+    | `Fail err -> `Retry (Wire.error_to_string err)
+    | `Need_more -> (
+        match read t ?deadline fd with
+        | `Data n ->
+            Obs.Metrics.incr ~by:n Wire.bytes_read;
+            Wire.Stream.feed t.stream t.buf 0 n;
+            await ()
+        | `Eof ->
+            `Retry
+              (if Wire.Stream.midframe t.stream then
+                 Wire.error_to_string Wire.Truncated
+               else "connection closed by server")
+        | `Deadline -> timed_out ())
+  in
+  match send t ?deadline fd ~id msg with
+  | `Closed why -> `Retry (Printf.sprintf "send: %s" why)
+  | `Deadline -> timed_out ()
+  | `Sent -> await ()
 
 let request t msg =
   match current_fd t with
@@ -228,7 +303,7 @@ let request t msg =
       | `Retry why -> (
           (* reconnect with backoff and resend exactly once: the server
              side is idempotent (content-addressed cache) *)
-          drop_connection t;
+          close t;
           match current_fd t with
           | Error msg ->
               Error (Printf.sprintf "%s; reconnect failed: %s" why msg)
@@ -237,7 +312,7 @@ let request t msg =
               | `Ok reply -> Ok reply
               | `Fatal msg -> Error msg
               | `Retry msg ->
-                  drop_connection t;
+                  close t;
                   Error
                     (Printf.sprintf "%s; after reconnect: %s" why msg))))
 

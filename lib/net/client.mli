@@ -1,10 +1,14 @@
-(** Blocking cedarnet client: one TCP connection, synchronous
-    request/reply, reconnect with exponential backoff.
+(** cedarnet client: one TCP connection, synchronous request/reply,
+    reconnect with exponential backoff.
 
-    Every call times out rather than hangs: connection establishment is
-    bounded by [connect_timeout_s] (non-blocking connect + select) and
-    each request by [request_timeout_s] ([SO_RCVTIMEO]/[SO_SNDTIMEO] on
-    the socket).  When the connection is found dead — send failure, EOF,
+    A client made by {!connect} blocks its thread; one made by
+    {!connect_fiber} suspends its fiber on the {!Aio} loop instead, and
+    otherwise behaves the same.  Every call times out rather than
+    hangs: connection establishment is bounded by [connect_timeout_s]
+    (non-blocking connect + poll) and each request by
+    [request_timeout_s] ([SO_RCVTIMEO]/[SO_SNDTIMEO] on a blocking
+    socket, one deadline over the whole round trip on a fiber one).
+    Replies are read through {!Wire.Stream}.  When the connection is found dead — send failure, EOF,
     a frame that does not decode — the client reconnects with jittered
     exponential backoff up to [max_attempts] and resends the request
     once on the fresh connection.  Requests are idempotent at the server (the result
@@ -46,6 +50,11 @@ type t
 
 val connect : cfg -> (t, string) result
 (** Establish the connection (with retries/backoff per [cfg]). *)
+
+val connect_fiber : cfg -> (t, string) result
+(** Fiber context: {!connect}, but every wait — connect, backoff, send,
+    reply — suspends the calling fiber instead of the thread.  The
+    client must only be used from fibers on the calling fiber's loop. *)
 
 val close : t -> unit
 (** Close the socket.  Idempotent; the handle is dead afterwards. *)

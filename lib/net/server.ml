@@ -144,10 +144,6 @@ let m_request_seconds =
   M.histogram M.global ~help:"wire request latency, admit to reply written"
     "net_request_seconds"
 
-(* get-or-create: shared with the instruments in wire.ml *)
-let m_bytes_read = M.counter M.global "net_bytes_read_total"
-let m_bytes_written = M.counter M.global "net_bytes_written_total"
-
 let m_flushes =
   M.counter M.global ~help:"batched socket flushes (one write per batch)"
     "net_flushes_total"
@@ -259,7 +255,7 @@ let writer t conn =
           (match
              Aio.write_all ?deadline conn.c_fd payload 0 (Bytes.length payload)
            with
-          | `Ok -> M.incr ~by:(Bytes.length payload) m_bytes_written
+          | `Ok -> M.incr ~by:(Bytes.length payload) Wire.bytes_written
           | `Deadline | `Closed -> kill_conn conn);
           (match !kill with Some _ -> kill_conn conn | None -> ());
           loop ()
@@ -504,7 +500,7 @@ let reader t conn =
               (Bytes.length t.scratch)
           with
           | `Data n ->
-              M.incr ~by:n m_bytes_read;
+              M.incr ~by:n Wire.bytes_read;
               Wire.Stream.feed stream t.scratch 0 n;
               loop ()
           | `Eof -> ()

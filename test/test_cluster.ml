@@ -1293,6 +1293,213 @@ let test_proxy_read_repair () =
   Alcotest.(check int) "exactly the off-owner hit repaired" 1
     (Cluster.Proxy.read_repair_total proxy)
 
+(* ------------------------------------------------------------------ *)
+(* Fiber-side upstream                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* a synthetic source whose content key the ring over [ids] hands to
+   [owner] *)
+let source_owned_by ids owner ~name =
+  let ring = Ring.make ~vnodes:64 ids in
+  let rec go i =
+    if i > 999 then Alcotest.failf "no %s-owned key in 1000 candidates" owner
+    else
+      let s = synth_source i in
+      let key =
+        Service.Server.cache_key
+          { Service.Server.req_name = name; req_source = s; req_options = opts }
+      in
+      if Ring.lookup ring key = Some owner then s else go (i + 1)
+  in
+  go 0
+
+let submit_done client ~name source =
+  match Net.Client.submit client ~name ~options:opts source with
+  | Ok (W.R_done { r_text; _ }) ->
+      Alcotest.(check bool) (name ^ " byte-identical") true
+        (r_text = restructured source)
+  | Ok r ->
+      Alcotest.failf "%s: unexpected reply %s" name
+        (W.message_kind_name (W.Result r))
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let test_proxy_stale_idle_upstream () =
+  (* the relay's idle connection to a shard outlives the shard process:
+     the next submit finds it dead, resends once on a fresh connection
+     to the restarted shard, and charges the shard nothing *)
+  with_svc @@ fun svc_a ->
+  with_svc @@ fun svc_b ->
+  let net_a = ref (Net.Server.create Net.Server.default_cfg svc_a) in
+  let net_b = Net.Server.create Net.Server.default_cfg svc_b in
+  Fun.protect ~finally:(fun () ->
+      Net.Server.drain !net_a;
+      Net.Server.drain net_b)
+  @@ fun () ->
+  let port_a = Net.Server.port !net_a in
+  let proxy =
+    Cluster.Proxy.create ~probe_ms:10_000.0
+      [ mk_shard "a" port_a; mk_shard "b" (Net.Server.port net_b) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let source = source_owned_by [ "a"; "b" ] "a" ~name:"restart" in
+  with_proxy_client proxy @@ fun client ->
+  submit_done client ~name:"restart" source;
+  (match Net.Client.members_json client with
+  | Ok json ->
+      Alcotest.(check bool) "the relay left an idle upstream to a" true
+        (contains json
+           (Printf.sprintf
+              "\"id\":\"a\",\"host\":\"127.0.0.1\",\"port\":%d,\"state\":\"up\",\"fails\":0,\"pool_idle\":1"
+              port_a))
+  | Error e -> Alcotest.failf "members_json: %s" e);
+  Net.Server.drain !net_a;
+  net_a :=
+    Net.Server.create
+      { Net.Server.default_cfg with Net.Server.port = port_a }
+      svc_a;
+  submit_done client ~name:"restart" source;
+  Alcotest.(check int) "no failover" 0 (Cluster.Proxy.failover_total proxy);
+  Alcotest.(check bool) "a still Up" true
+    (state_of (Cluster.Proxy.membership proxy) "a" = Cluster.Membership.Up)
+
+let test_proxy_silent_shard_times_out () =
+  (* a shard that accepts and never answers costs one shard_timeout_s,
+     then the relay fails over; drain is not held hostage by it *)
+  let silent = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close silent) @@ fun () ->
+  Unix.bind silent (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen silent 16;
+  let silent_port =
+    match Unix.getsockname silent with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
+  let cfg = { Cluster.Proxy.default_cfg with Cluster.Proxy.shard_timeout_s = 0.5 } in
+  let proxy =
+    Cluster.Proxy.create ~cfg ~probe_ms:10_000.0
+      [ mk_shard "silent" silent_port; mk_shard "live" (Net.Server.port net) ]
+  in
+  let drained = ref false in
+  Fun.protect ~finally:(fun () ->
+      if not !drained then Cluster.Proxy.drain proxy)
+  @@ fun () ->
+  let source = source_owned_by [ "silent"; "live" ] "silent" ~name:"silent" in
+  with_proxy_client proxy (fun client ->
+      let t0 = Unix.gettimeofday () in
+      submit_done client ~name:"silent" source;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "answered after one shard timeout (%.2fs)" dt)
+        true
+        (dt >= 0.4 && dt < 5.0));
+  Alcotest.(check int) "failed over to the successor" 1
+    (Cluster.Proxy.failover_total proxy);
+  let t0 = Unix.gettimeofday () in
+  Cluster.Proxy.drain proxy;
+  drained := true;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "drain returned in %.2fs" dt) true
+    (dt < 2.0)
+
+(* this process's OS thread count, once it has held still for 50 ms:
+   a fresh domain starts its helper threads asynchronously *)
+let os_threads () =
+  let count () = Array.length (Sys.readdir "/proc/self/task") in
+  let rec settle prev tries =
+    Thread.delay 0.05;
+    let n = count () in
+    if n = prev || tries = 0 then n else settle n (tries - 1)
+  in
+  settle (count ()) 40
+
+let test_proxy_thread_count () =
+  (* the proxy's threads are its event loop and the membership prober;
+     no pool of upstream threads, however many relays are in flight *)
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
+  (* the runtime's tick thread starts with the first thread; make sure
+     it exists before the baseline is taken *)
+  Thread.join (Thread.create ignore ());
+  let before = os_threads () in
+  let proxy =
+    Cluster.Proxy.create ~probe_ms:10_000.0 [ mk_shard "a" (Net.Server.port net) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  with_proxy_client proxy (fun client ->
+      submit_done client ~name:"threads" saxpy_source);
+  Alcotest.(check int) "Proxy.create adds the loop and the prober" 2
+    (os_threads () - before)
+
+let test_proxy_read_repair_bounded () =
+  (* every warm hit lands off-owner (the owner sheds everything), so
+     every relay wants a read-repair; the repairs share the in-flight
+     budget, which therefore bounds them *)
+  let budget = 2 in
+  with_svc @@ fun svc_a ->
+  with_svc @@ fun svc_b ->
+  let net_a =
+    Net.Server.create
+      { Net.Server.default_cfg with Net.Server.max_inflight = 0 }
+      svc_a
+  in
+  let net_b = Net.Server.create Net.Server.default_cfg svc_b in
+  Fun.protect ~finally:(fun () ->
+      Net.Server.drain net_a;
+      Net.Server.drain net_b)
+  @@ fun () ->
+  let cfg =
+    { Cluster.Proxy.default_cfg with Cluster.Proxy.max_inflight = budget }
+  in
+  let proxy =
+    Cluster.Proxy.create ~cfg ~probe_ms:10_000.0
+      [ mk_shard "a" (Net.Server.port net_a);
+        mk_shard "b" (Net.Server.port net_b) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let source = source_owned_by [ "a"; "b" ] "a" ~name:"repair" in
+  let gauge =
+    Obs.Metrics.gauge Obs.Metrics.global "cluster_proxy_inflight"
+  in
+  let high = ref 0.0 and sampling = Atomic.make true in
+  let sampler =
+    Thread.create
+      (fun () ->
+        while Atomic.get sampling do
+          high := Float.max !high (Obs.Metrics.gauge_value gauge);
+          Thread.yield ()
+        done)
+      ()
+  in
+  let clients = 4 and per_client = 25 in
+  let replies = Atomic.make 0 and errors = Atomic.make 0 in
+  let drive () =
+    with_proxy_client proxy (fun client ->
+        for _ = 1 to per_client do
+          match Net.Client.submit client ~name:"repair" ~options:opts source with
+          | Ok (W.R_done _ | W.R_overloaded) -> Atomic.incr replies
+          | Ok _ | Error _ -> Atomic.incr errors
+        done)
+  in
+  (* warm the key first: from then on every hit is off-owner *)
+  with_proxy_client proxy (fun client ->
+      submit_done client ~name:"repair" source);
+  List.iter Thread.join (List.init clients (fun _ -> Thread.create drive ()));
+  Atomic.set sampling false;
+  Thread.join sampler;
+  Alcotest.(check int) "every request got a typed reply"
+    (clients * per_client) (Atomic.get replies);
+  Alcotest.(check int) "no transport errors" 0 (Atomic.get errors);
+  Alcotest.(check bool) "some misplaced hits were repaired" true
+    (Cluster.Proxy.read_repair_total proxy >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "in-flight gauge peaked at %.0f <= %d" !high budget)
+    true
+    (!high <= float_of_int budget)
+
 let tests =
   [
     Alcotest.test_case "ring: routing is order- and duplicate-independent"
@@ -1350,4 +1557,12 @@ let tests =
       test_proxy_churn_no_stale_routes;
     Alcotest.test_case "proxy: off-owner warm hit is read-repaired" `Slow
       test_proxy_read_repair;
+    Alcotest.test_case "proxy: stale idle upstream resent on a fresh one"
+      `Slow test_proxy_stale_idle_upstream;
+    Alcotest.test_case "proxy: silent shard times out, drain stays prompt"
+      `Slow test_proxy_silent_shard_times_out;
+    Alcotest.test_case "proxy: adds two OS threads, loop and prober" `Slow
+      test_proxy_thread_count;
+    Alcotest.test_case "proxy: read-repair shares the in-flight budget"
+      `Slow test_proxy_read_repair_bounded;
   ]

@@ -24,6 +24,23 @@ let test_heap_fifo_ties () =
   Alcotest.(check (list int)) "fifo on equal time" [ 1; 2; 3 ]
     (List.map (fun x -> snd (Option.get x)) [ a; b; c ])
 
+let test_heap_filter () =
+  (* dropping entries keeps the survivors in (time, insertion) order *)
+  let h = Heap.create () in
+  let entries = List.init 40 (fun i -> (float_of_int (i mod 7), i)) in
+  List.iter (fun (t, v) -> Heap.push h ~time:t v) entries;
+  Heap.filter h (fun v -> v mod 2 = 0);
+  Heap.push h ~time:0.0 100;
+  let rec drain acc =
+    match Heap.pop h with Some (_, v) -> drain (v :: acc) | None -> List.rev acc
+  in
+  let expected =
+    List.filter (fun (_, v) -> v mod 2 = 0) entries @ [ (0.0, 100) ]
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  Alcotest.(check (list int)) "survivors in order" expected (drain [])
+
 let test_delay_sequencing () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -251,6 +268,7 @@ let tests =
   [
     Alcotest.test_case "heap order" `Quick test_heap;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
+    Alcotest.test_case "heap filter keeps order" `Quick test_heap_filter;
     Alcotest.test_case "delay sequencing" `Quick test_delay_sequencing;
     Alcotest.test_case "lock mutual exclusion" `Quick test_lock_mutual_exclusion;
     Alcotest.test_case "cascade doacross" `Quick test_cascade;

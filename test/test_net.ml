@@ -461,20 +461,62 @@ let submit_msg ?(trace = 0) ?(name = "saxpy") ?(source = saxpy_source) () =
       sub_trace = trace;
     }
 
+(* Blocking read of one frame off a raw test socket, decoded through
+   Wire.Stream.  Reads are sized to the frame (the header, then exactly
+   the payload it announces), so bytes of the next frame stay in the
+   socket for the next call. *)
+type frame_read = Frame of int * W.message | Eof | Timeout | Fail of string
+
+let read_frame fd =
+  let read_exactly buf =
+    let rec go off =
+      if off = Bytes.length buf then `Full
+      else
+        match Unix.read fd buf off (Bytes.length buf - off) with
+        | 0 -> if off = 0 then `Eof else `Short
+        | n -> go (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            `Timeout
+        | exception Unix.Unix_error (_, _, _) ->
+            if off = 0 then `Eof else `Short
+    in
+    go 0
+  in
+  let st = W.Stream.create () in
+  let hdr = Bytes.create W.header_bytes in
+  let rec next () =
+    match W.Stream.next st with
+    | `Frame (id, m) -> Frame (id, m)
+    | `Oversized (_, got) -> Fail (Printf.sprintf "oversized (%d)" got)
+    | `Fail e -> Fail (W.error_to_string e)
+    | `Need_more -> (
+        (* the payload length is the header's last 4 bytes *)
+        let payload = Bytes.create (Int32.to_int (Bytes.get_int32_be hdr 16)) in
+        match read_exactly payload with
+        | `Full ->
+            W.Stream.feed st payload 0 (Bytes.length payload);
+            next ()
+        | `Timeout -> Timeout
+        | `Eof | `Short -> Fail (W.error_to_string W.Truncated))
+  in
+  match read_exactly hdr with
+  | `Eof -> Eof
+  | `Timeout -> Timeout
+  | `Short -> Fail (W.error_to_string W.Truncated)
+  | `Full ->
+      W.Stream.feed st hdr 0 W.header_bytes;
+      next ()
+
 let read_result fd =
-  match W.read_frame fd with
-  | W.Frame (id, W.Result r) -> (id, r)
-  | W.Frame (_, m) ->
+  match read_frame fd with
+  | Frame (id, W.Result r) -> (id, r)
+  | Frame (_, m) ->
       Alcotest.failf "expected Result, got %s" (W.message_kind_name m)
-  | other ->
-      Alcotest.failf "expected a frame, got %s"
-        (match other with
-        | W.Idle -> "Idle"
-        | W.Stalled -> "Stalled"
-        | W.Eof -> "Eof"
-        | W.Oversized _ -> "Oversized"
-        | W.Fail e -> W.error_to_string e
-        | W.Frame _ -> assert false)
+  | Eof -> Alcotest.fail "expected a frame, got Eof"
+  | Timeout -> Alcotest.fail "expected a frame, got Timeout"
+  | Fail e -> Alcotest.failf "expected a frame, got %s" e
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end over real sockets                                        *)
@@ -588,8 +630,8 @@ let test_split_reads_byte_identical () =
       | 1, W.R_done { r_text; _ } ->
           Alcotest.(check bool) "first of split pair" true (r_text = expected)
       | _, _ -> Alcotest.fail "expected R_done for id 1");
-      match W.read_frame fd with
-      | W.Frame (2, W.Pong) -> ()
+      match read_frame fd with
+      | Frame (2, W.Pong) -> ()
       | _ -> Alcotest.fail "expected Pong for id 2")
 
 let test_reply_batching () =
@@ -605,8 +647,8 @@ let test_reply_batching () =
     (fun () ->
       (* warm the connection so accept-path writes don't skew the count *)
       W.write_frame fd ~id:0 W.Ping;
-      (match W.read_frame fd with
-      | W.Frame (0, W.Pong) -> ()
+      (match read_frame fd with
+      | Frame (0, W.Pong) -> ()
       | _ -> Alcotest.fail "warmup ping");
       let before = Obs.Metrics.counter_value flushes in
       let burst =
@@ -663,8 +705,8 @@ let test_too_large_keeps_connection () =
       | _, _ -> Alcotest.fail "expected R_too_large for the medium source");
       (* the stream is still synchronized *)
       W.write_frame fd ~id:3 W.Ping;
-      match W.read_frame fd with
-      | W.Frame (3, W.Pong) -> ()
+      match read_frame fd with
+      | Frame (3, W.Pong) -> ()
       | _ -> Alcotest.fail "connection did not survive the rejections")
 
 let test_overload_burst () =
@@ -717,16 +759,16 @@ let test_conn_budget_shed () =
     ~finally:(fun () -> try Unix.close fd1 with Unix.Unix_error _ -> ())
     (fun () ->
       W.write_frame fd1 ~id:1 W.Ping;
-      (match W.read_frame fd1 with
-      | W.Frame (1, W.Pong) -> ()
+      (match read_frame fd1 with
+      | Frame (1, W.Pong) -> ()
       | _ -> Alcotest.fail "first connection should be served");
       let fd2 = connect_raw port in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd2 with Unix.Unix_error _ -> ())
         (fun () ->
-          match W.read_frame fd2 with
-          | W.Frame (0, W.Result W.R_overloaded) -> ()
-          | W.Eof -> Alcotest.fail "shed without the explicit frame"
+          match read_frame fd2 with
+          | Frame (0, W.Result W.R_overloaded) -> ()
+          | Eof -> Alcotest.fail "shed without the explicit frame"
           | _ -> Alcotest.fail "second connection should be shed"))
 
 let test_stalled_sender_dropped () =
@@ -756,9 +798,9 @@ let test_garbage_frame_from_client () =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       W.write_raw fd (String.make 64 'Z');
-      match W.read_frame fd with
-      | W.Frame (0, W.Result (W.R_error _)) -> ()
-      | W.Eof -> Alcotest.fail "dropped without the typed error reply"
+      match read_frame fd with
+      | Frame (0, W.Result (W.R_error _)) -> ()
+      | Eof -> Alcotest.fail "dropped without the typed error reply"
       | _ -> Alcotest.fail "expected a typed protocol error")
 
 let test_graceful_drain_flushes_replies () =
@@ -790,8 +832,8 @@ let test_graceful_drain_flushes_replies () =
           ids
       in
       Alcotest.(check (list int)) "all replies flushed" ids got;
-      (match W.read_frame fd with
-      | W.Eof -> ()
+      (match read_frame fd with
+      | Eof -> ()
       | _ -> Alcotest.fail "expected EOF after the drain");
       (* the service pool survives the net drain; its own shutdown is
          deterministic and idempotent *)
@@ -893,8 +935,8 @@ let test_slow_loris_deadlined () =
                (* the fast connection stays live the whole time *)
                if i land 1 = 0 then begin
                  W.write_frame fast ~id:(100 + i) W.Ping;
-                 match W.read_frame fast with
-                 | W.Frame (_, W.Pong) -> ()
+                 match read_frame fast with
+                 | Frame (_, W.Pong) -> ()
                  | _ -> Alcotest.fail "fast connection starved by the loris"
                end;
                Thread.delay 0.1
@@ -918,8 +960,8 @@ let test_slow_loris_deadlined () =
         (cut_at -. t0 >= 0.35);
       (* and the polite connection is still fine *)
       W.write_frame fast ~id:999 W.Ping;
-      match W.read_frame fast with
-      | W.Frame (999, W.Pong) -> ()
+      match read_frame fast with
+      | Frame (999, W.Pong) -> ()
       | _ -> Alcotest.fail "fast connection lost after the loris was cut")
 
 let test_idle_flood_byte_identical () =
@@ -1002,8 +1044,8 @@ let test_idle_flood_byte_identical () =
         (fun i fd ->
           if i mod 64 = 0 then begin
             W.write_frame fd ~id:i W.Ping;
-            match W.read_frame fd with
-            | W.Frame (id, W.Pong) when id = i -> ()
+            match read_frame fd with
+            | Frame (id, W.Pong) when id = i -> ()
             | _ -> Alcotest.failf "idle connection %d died" i
           end)
         idle)
@@ -1065,6 +1107,74 @@ let test_client_connect_fast_fail () =
       Alcotest.(check bool) "failed quickly" true
         (Unix.gettimeofday () -. t0 < 10.0)
 
+(* A one-connection peer that answers the first frame with a Pong, then
+   reads on in silence until the client hangs up. *)
+let with_scripted_peer f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept lfd in
+        let hdr = Bytes.create W.header_bytes in
+        let rec fill off =
+          if off < W.header_bytes then
+            fill (off + Unix.read fd hdr off (W.header_bytes - off))
+        in
+        fill 0;
+        let id = Int64.to_int (Bytes.get_int64_be hdr 8) in
+        let pong = W.encode ~id W.Pong in
+        ignore (Unix.write_substring fd pong 0 (String.length pong));
+        let sink = Bytes.create 64 in
+        (try
+           while Unix.read fd sink 0 64 > 0 do
+             ()
+           done
+         with Unix.Unix_error _ -> ());
+        Unix.close fd)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Thread.join peer) (fun () -> f port)
+
+let test_client_stream_reads () =
+  (* both client flavours read replies through Wire.Stream, count the
+     bytes, and turn a silent peer into the typed timeout *)
+  let check_mode name connect run =
+    with_scripted_peer @@ fun port ->
+    let cfg =
+      { (Net.Client.default_cfg ~port) with
+        Net.Client.request_timeout_s = 0.3; max_attempts = 1 }
+    in
+    let before = Obs.Metrics.counter_value W.bytes_read in
+    let first = ref (Error "not run") and second = ref (Ok 0.0) in
+    run (fun () ->
+        match connect cfg with
+        | Error e -> first := Error e
+        | Ok c ->
+            first := Net.Client.ping c;
+            second := Net.Client.ping c;
+            Net.Client.close c);
+    (match !first with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: first ping: %s" name e);
+    Alcotest.(check int) (name ^ ": reply bytes counted") W.header_bytes
+      (Obs.Metrics.counter_value W.bytes_read - before);
+    match !second with
+    | Error e ->
+        Alcotest.(check string) (name ^ ": typed timeout")
+          "request timed out after 0.3s" e
+    | Ok _ -> Alcotest.failf "%s: a silent peer answered" name
+  in
+  check_mode "blocking" Net.Client.connect (fun f -> f ());
+  check_mode "fiber" Net.Client.connect_fiber (fun f -> Aio.run (Aio.create ()) f)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -1112,4 +1222,6 @@ let tests =
       test_metrics_http;
     Alcotest.test_case "client: dead port fails fast" `Quick
       test_client_connect_fast_fail;
+    Alcotest.test_case "client: stream reads, byte count, typed timeout"
+      `Quick test_client_stream_reads;
   ]
