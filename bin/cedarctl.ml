@@ -2,8 +2,8 @@
 
    ping      round-trip a Ping frame (repeatable, prints RTT)
    submit    restructure a fortran77 file over the wire
-   stats     fetch the human-readable service stats
-   metrics   fetch the Prometheus text dump
+   stats     fetch the service stats (text, or the JSON with --json)
+   metrics   fetch the Prometheus text dump (or the JSON with --json)
    shutdown  ask the server to drain and exit
    drive     closed-loop socket load generator (Traffic over TCP)
    flood     park idle connections (the fiber gate's scaling probe)
@@ -124,10 +124,7 @@ let submit host port timeout_s file name advanced validate target trace_id
           if not quiet then begin
             Printf.printf "done%s rung=%s%s%s trace=%#x\n"
               (if r_cached then " (cached)" else "")
-              (match r_rung with
-              | Service.Server.Full -> "full"
-              | Service.Server.Conservative -> "conservative"
-              | Service.Server.Passthrough -> "passthrough")
+              (Service.Server.rung_name r_rung)
               (match r_cycles with
               | Some cy -> Printf.sprintf " cycles=%.3g" cy
               | None -> "")
@@ -213,9 +210,7 @@ let target_arg =
     & opt target_conv Codegen.Target.Cedar
     & info [ "target" ] ~docv:"TARGET"
         ~doc:
-          "codegen target: $(b,cedar) (default) or $(b,openmp); OpenMP \
-           submits ride protocol-v4 frames, Cedar submits stay \
-           byte-compatible with v1 servers")
+          "codegen target: $(b,cedar) (default) or $(b,openmp)")
 
 let trace_id_arg =
   Arg.(
@@ -243,38 +238,71 @@ let submit_cmd =
 
 (* ---- stats / metrics / shutdown ---- *)
 
-let fetch_text what host port timeout_s =
+(* The servers answer stats and metrics in JSON; the text views are
+   rendered here.  A proxy's stats carry a "proxy" object and one stats
+   object (or null) per shard. *)
+let cluster_stats_text json =
+  let module J = Obs.Json in
+  let proxy = J.member "proxy" json in
+  let count k = J.to_int (J.member k proxy) in
+  let header =
+    Printf.sprintf "cluster     routed %d  failovers %d  shed %d"
+      (count "routed") (count "failovers") (count "shed")
+  in
+  let section m =
+    let id = J.to_str (J.member "id" m) in
+    let title =
+      Printf.sprintf "--- shard %s (%s:%d) %s, %d consecutive fails ---" id
+        (J.to_str (J.member "host" m))
+        (J.to_int (J.member "port" m))
+        (J.to_str (J.member "state" m))
+        (J.to_int (J.member "fails" m))
+    in
+    let body =
+      match J.member id (J.member "shards" json) with
+      | J.Null -> "unreachable"
+      | stats -> Service.Stats.render stats
+    in
+    title ^ "\n" ^ body
+  in
+  String.concat "\n"
+    (header
+    :: List.map section (J.to_list (J.member "shards" (J.member "members" proxy))))
+
+let stats_text json =
+  match Obs.Json.member "proxy" json with
+  | Obs.Json.Null -> Service.Stats.render json
+  | _ -> cluster_stats_text json
+
+(* print the JSON reply as it came, or its [render]ing *)
+let fetch fetch_json render host port timeout_s json =
   with_client (client_cfg host port timeout_s) @@ fun c ->
-  match what c with
-  | Ok text ->
-      print_string text;
-      if String.length text > 0 && text.[String.length text - 1] <> '\n'
-      then print_newline ();
-      0
+  match fetch_json c with
   | Error msg -> transport msg
+  | Ok body when json ->
+      print_endline body;
+      0
+  | Ok body -> (
+      match Obs.Json.parse body with
+      | Ok v ->
+          let text = render v in
+          print_string text;
+          if text <> "" && text.[String.length text - 1] <> '\n' then
+            print_newline ();
+          0
+      | Error msg -> transport ("unreadable reply: " ^ msg))
 
 let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "machine-readable JSON instead of the human text (protocol v2; \
-           requires a v2 server)")
+  Arg.(value & flag & info [ "json" ] ~doc:"print the JSON reply instead of text")
 
-let stats host port timeout_s json =
-  fetch_text
-    (if json then Net.Client.stats_json else Net.Client.stats)
-    host port timeout_s
+let stats = fetch Net.Client.stats_json stats_text
 
 let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"fetch the service stats summary")
     Term.(const stats $ host_arg $ port_arg $ timeout_arg $ json_arg)
 
-let metrics host port timeout_s json =
-  fetch_text
-    (if json then Net.Client.metrics_json else Net.Client.metrics)
-    host port timeout_s
+let metrics = fetch Net.Client.metrics_json Obs.Metrics.render
 
 let metrics_cmd =
   Cmd.v
@@ -405,10 +433,16 @@ let flood host port conns hold_s =
         if alive then acc + 1 else acc)
       0 !opened
   in
-  Printf.printf
-    "{ \"requested\": %d, \"opened\": %d, \"failed\": %d, \"held_s\": %.1f, \
-     \"still_open\": %d }\n"
-    conns n_opened !failed hold_s still_open;
+  print_endline
+    (Obs.Json.to_string
+       (Obs.Json.Obj
+          [
+            ("requested", Obs.Json.Int conns);
+            ("opened", Obs.Json.Int n_opened);
+            ("failed", Obs.Json.Int !failed);
+            ("held_s", Obs.Json.Float hold_s);
+            ("still_open", Obs.Json.Int still_open);
+          ]));
   if n_opened = conns && still_open = n_opened then 0 else 1
 
 let flood_conns_arg =
@@ -431,46 +465,18 @@ let flood_cmd =
 
 (* ---- cluster (against a cedarproxy) ---- *)
 
-let cluster_members host port timeout_s json =
-  fetch_text
-    (if json then Net.Client.members_json else Net.Client.members)
-    host port timeout_s
-
-let members_json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "the enriched machine-readable view (protocol v3): ring epoch, \
-           vnodes, proxy routing counters, and each live shard's state \
-           and replication counters")
+(* the membership view has no text rendering: always the JSON *)
+let cluster_members host port timeout_s =
+  fetch Net.Client.members_json Obs.Json.to_string host port timeout_s true
 
 let cluster_members_cmd =
   Cmd.v
     (Cmd.info "members"
-       ~doc:"fetch ring membership and shard health from a cedarproxy")
-    Term.(
-      const cluster_members $ host_arg $ port_arg $ timeout_arg
-      $ members_json_arg)
-
-(* "id=host:port" for cluster add *)
-let parse_shard_spec spec =
-  match String.index_opt spec '=' with
-  | None -> None
-  | Some eq -> (
-      let id = String.sub spec 0 eq in
-      let addr = String.sub spec (eq + 1) (String.length spec - eq - 1) in
-      match String.rindex_opt addr ':' with
-      | None -> None
-      | Some colon -> (
-          let host = String.sub addr 0 colon in
-          let port_s =
-            String.sub addr (colon + 1) (String.length addr - colon - 1)
-          in
-          match int_of_string_opt port_s with
-          | Some port when id <> "" && host <> "" && port > 0 ->
-              Some (id, host, port)
-          | _ -> None))
+       ~doc:
+         "fetch the membership view from a cedarproxy, as JSON: ring epoch, \
+          vnodes, proxy routing counters, and each shard's state, idle \
+          connections and replication counters")
+    Term.(const cluster_members $ host_arg $ port_arg $ timeout_arg)
 
 let report_ack (ack : Net.Wire.cluster_ack) =
   if ack.Net.Wire.ack_ok then begin
@@ -483,15 +489,19 @@ let report_ack (ack : Net.Wire.cluster_ack) =
   end
 
 let cluster_add host port timeout_s spec =
-  match parse_shard_spec spec with
-  | None ->
-      Printf.eprintf "cedarctl: %S: expected id=host:port\n" spec;
+  match Cluster.Membership.parse_shard spec with
+  | Error msg ->
+      Printf.eprintf "cedarctl: %s\n" msg;
       2
-  | Some (id, sh_host, sh_port) -> (
+  | Ok shard -> (
       with_client (client_cfg host port timeout_s) @@ fun c ->
       match
         Net.Client.cluster_add c
-          { Net.Wire.ca_id = id; ca_host = sh_host; ca_port = sh_port }
+          {
+            Net.Wire.ca_id = shard.Cluster.Membership.sh_id;
+            ca_host = shard.Cluster.Membership.sh_host;
+            ca_port = shard.Cluster.Membership.sh_port;
+          }
       with
       | Ok ack -> report_ack ack
       | Error msg -> transport msg)

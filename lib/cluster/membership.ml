@@ -4,6 +4,47 @@ let state_name = function Up -> "up" | Suspect -> "suspect" | Down -> "down"
 
 type shard = { sh_id : string; sh_host : string; sh_port : int }
 
+let valid_id id =
+  id <> ""
+  && String.for_all
+       (function
+         | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '-' -> true
+         | _ -> false)
+       id
+
+(* "id=host:port"; the port is everything after the last colon *)
+let parse_shard spec =
+  let bad () = Error (Printf.sprintf "%S: expected id=host:port" spec) in
+  match String.index_opt spec '=' with
+  | None -> bad ()
+  | Some eq -> (
+      let id = String.sub spec 0 eq in
+      let addr = String.sub spec (eq + 1) (String.length spec - eq - 1) in
+      match String.rindex_opt addr ':' with
+      | None -> bad ()
+      | Some colon -> (
+          let host = String.sub addr 0 colon in
+          match
+            int_of_string_opt
+              (String.sub addr (colon + 1) (String.length addr - colon - 1))
+          with
+          | Some port when host <> "" && port > 0 ->
+              if valid_id id then Ok { sh_id = id; sh_host = host; sh_port = port }
+              else
+                Error
+                  (Printf.sprintf "%S: shard id must be [A-Za-z0-9_.-]+" spec)
+          | _ -> bad ()))
+
+let parse_spec spec =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest -> (
+        match parse_shard (String.trim part) with
+        | Ok shard -> go (shard :: acc) rest
+        | Error _ as e -> e)
+  in
+  go [] (String.split_on_char ',' spec)
+
 type tracked = {
   shard : shard;
   mutable st : state;
@@ -230,30 +271,31 @@ let remove_shard t id =
         Ok t.epoch
       end)
 
-let shard_of_id t id =
-  match find t id with None -> None | Some tr -> Some tr.shard
-
 let snapshot t =
   with_lock t (fun () ->
       List.map (fun tr -> (tr.shard, tr.st, tr.fails)) t.tracked)
 
 let members_json t =
-  let epoch, vnodes, rows =
-    with_lock t (fun () ->
-        ( t.epoch,
-          t.vnodes,
-          List.map (fun tr -> (tr.shard, tr.st, tr.fails)) t.tracked ))
-  in
-  let shards =
-    List.map
-      (fun ((s : shard), st, fails) ->
-        Printf.sprintf
-          "{\"id\":\"%s\",\"host\":\"%s\",\"port\":%d,\"state\":\"%s\",\"fails\":%d}"
-          s.sh_id s.sh_host s.sh_port (state_name st) fails)
-      rows
-  in
-  Printf.sprintf "{\"epoch\":%d,\"vnodes\":%d,\"shards\":[%s]}" epoch vnodes
-    (String.concat "," shards)
+  let module J = Obs.Json in
+  with_lock t (fun () ->
+      J.Obj
+        [
+          ("epoch", J.Int t.epoch);
+          ("vnodes", J.Int t.vnodes);
+          ( "shards",
+            J.List
+              (List.map
+                 (fun tr ->
+                   J.Obj
+                     [
+                       ("id", J.String tr.shard.sh_id);
+                       ("host", J.String tr.shard.sh_host);
+                       ("port", J.Int tr.shard.sh_port);
+                       ("state", J.String (state_name tr.st));
+                       ("fails", J.Int tr.fails);
+                     ])
+                 t.tracked) );
+        ])
 
 let stop t =
   t.stopping <- true;

@@ -30,6 +30,17 @@ val state_name : state -> string
 
 type shard = { sh_id : string; sh_host : string; sh_port : int }
 
+val valid_id : string -> bool
+(** A shard id is one or more of [[A-Za-z0-9_.-]], so it can stand in
+    a metric name and needs no quoting anywhere. *)
+
+val parse_shard : string -> (shard, string) result
+(** One ["id=host:port"] member spec; the id must be {!valid_id}. *)
+
+val parse_spec : string -> (shard list, string) result
+(** A comma-separated list of {!parse_shard} specs — the [--cluster]
+    and [--shards] syntax. *)
+
 type t
 
 val create :
@@ -77,8 +88,6 @@ val remove_shard : t -> string -> (int, string) result
 (** Remove a member at runtime.  Returns the new epoch, or an error
     when the id is unknown or is the last member. *)
 
-val shard_of_id : t -> string -> shard option
-
 val snapshot : t -> (shard * state * int) list
 (** Every shard with its state and consecutive-failure count. *)
 
@@ -93,7 +102,7 @@ val probe_once : t -> unit
 (** One synchronous probe pass over every shard (ping, apply
     transitions).  The background loop calls exactly this. *)
 
-val members_json : t -> string
+val members_json : t -> Obs.Json.t
 (** Membership as JSON:
     [{"epoch":E,"vnodes":V,"shards":[{"id":...,"host":...,"port":...,
     "state":...,"fails":...},...]}] *)

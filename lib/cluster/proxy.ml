@@ -402,46 +402,35 @@ let fetch_from_shard t (shard : Membership.shard) st f =
     | None -> Error "unknown shard"
     | Some u -> with_upstream t u f
 
+(* a live shard's stats object; [Null] when it is down, unreachable
+   or answers something that does not parse *)
+let shard_stats t shard st =
+  match fetch_from_shard t shard st Net.Client.stats_json with
+  | Ok body -> Result.value ~default:Obs.Json.Null (Obs.Json.parse body)
+  | Error _ -> Obs.Json.Null
+
+(* the [cedarctl stats] view of a proxy: its routing counters and
+   membership, then every shard's stats object ([null] when
+   unreachable) *)
 let aggregated_stats_json t =
+  let module J = Obs.Json in
   let shards =
     Membership.snapshot t.members
-    |> List.map (fun (shard, st, _) ->
-           let body =
-             match fetch_from_shard t shard st Net.Client.stats_json with
-             | Ok json -> json
-             | Error _ -> "null"
-           in
-           Printf.sprintf "\"%s\":%s" shard.Membership.sh_id body)
+    |> List.map (fun ((shard : Membership.shard), st, _) ->
+           (shard.Membership.sh_id, shard_stats t shard st))
   in
-  Printf.sprintf
-    "{\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"members\":%s},\"shards\":{%s}}"
-    (Atomic.get t.routed) (Atomic.get t.failovers) (Atomic.get t.shed)
-    (Membership.members_json t.members)
-    (String.concat "," shards)
-
-(* flat-object integer extraction: enough JSON to lift the replication
-   counters out of a shard's Stats_json without a parser dependency *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some (i + nn)
-    else go (i + 1)
-  in
-  go 0
-
-let json_int_field body name =
-  match find_sub body (Printf.sprintf "\"%s\":" name) with
-  | None -> None
-  | Some start ->
-      let n = String.length body in
-      let stop = ref start in
-      if !stop < n && body.[!stop] = '-' then incr stop;
-      while !stop < n && body.[!stop] >= '0' && body.[!stop] <= '9' do
-        incr stop
-      done;
-      if !stop = start then None
-      else int_of_string_opt (String.sub body start (!stop - start))
+  J.Obj
+    [
+      ( "proxy",
+        J.Obj
+          [
+            ("routed", J.Int (Atomic.get t.routed));
+            ("failovers", J.Int (Atomic.get t.failovers));
+            ("shed", J.Int (Atomic.get t.shed));
+            ("members", Membership.members_json t.members);
+          ] );
+      ("shards", J.Obj shards);
+    ]
 
 let replica_counter_keys =
   [
@@ -452,66 +441,55 @@ let replica_counter_keys =
     "replica_skipped_down";
   ]
 
-(* the [cedarctl cluster members --json] view: ring epoch, per-shard
-   state, and each live shard's replication counters in one object *)
+(* the [cedarctl cluster members] view: ring epoch, per-shard state,
+   and each live shard's replication counters in one object *)
 let enriched_members_json t =
+  let module J = Obs.Json in
+  let count n = J.Int (Atomic.get n) in
   let shards =
     Membership.snapshot t.members
     |> List.map (fun ((shard : Membership.shard), st, fails) ->
+           let stats = shard_stats t shard st in
            let counters =
-             match fetch_from_shard t shard st Net.Client.stats_json with
-             | Error _ -> ""
-             | Ok body ->
-                 replica_counter_keys
-                 |> List.filter_map (fun k ->
-                        Option.map
-                          (Printf.sprintf ",\"%s\":%d" k)
-                          (json_int_field body k))
-                 |> String.concat ""
+             List.filter_map
+               (fun k ->
+                 match J.member k stats with
+                 | J.Int _ as v -> Some (k, v)
+                 | _ -> None)
+               replica_counter_keys
            in
            let idle =
              match upstream_of t shard.Membership.sh_id with
              | Some u -> List.length u.u_idle
              | None -> 0
            in
-           Printf.sprintf
-             "{\"id\":\"%s\",\"host\":\"%s\",\"port\":%d,\"state\":\"%s\",\"fails\":%d,\"pool_idle\":%d%s}"
-             shard.Membership.sh_id shard.Membership.sh_host
-             shard.Membership.sh_port
-             (Membership.state_name st)
-             fails idle counters)
+           J.Obj
+             ([
+                ("id", J.String shard.Membership.sh_id);
+                ("host", J.String shard.Membership.sh_host);
+                ("port", J.Int shard.Membership.sh_port);
+                ("state", J.String (Membership.state_name st));
+                ("fails", J.Int fails);
+                ("pool_idle", J.Int idle);
+              ]
+             @ counters))
   in
-  Printf.sprintf
-    "{\"epoch\":%d,\"vnodes\":%d,\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"stale_routes\":%d,\"read_repairs\":%d,\"topology_changes\":%d},\"shards\":[%s]}"
-    (Membership.epoch t.members)
-    (Membership.vnodes t.members)
-    (Atomic.get t.routed) (Atomic.get t.failovers) (Atomic.get t.shed)
-    (Atomic.get t.stale_routes)
-    (Atomic.get t.read_repairs)
-    (Atomic.get t.topo_gen)
-    (String.concat "," shards)
-
-let aggregated_stats_text t =
-  let header =
-    Printf.sprintf "cluster     routed %d  failovers %d  shed %d"
-      (Atomic.get t.routed) (Atomic.get t.failovers) (Atomic.get t.shed)
-  in
-  let sections =
-    Membership.snapshot t.members
-    |> List.map (fun (shard, st, fails) ->
-           let title =
-             Printf.sprintf "--- shard %s (%s:%d) %s, %d consecutive fails ---"
-               shard.Membership.sh_id shard.Membership.sh_host
-               shard.Membership.sh_port (Membership.state_name st) fails
-           in
-           let body =
-             match fetch_from_shard t shard st Net.Client.stats with
-             | Ok text -> text
-             | Error msg -> "unreachable: " ^ msg
-           in
-           title ^ "\n" ^ body)
-  in
-  String.concat "\n" (header :: sections)
+  J.Obj
+    [
+      ("epoch", J.Int (Membership.epoch t.members));
+      ("vnodes", J.Int (Membership.vnodes t.members));
+      ( "proxy",
+        J.Obj
+          [
+            ("routed", count t.routed);
+            ("failovers", count t.failovers);
+            ("shed", count t.shed);
+            ("stale_routes", count t.stale_routes);
+            ("read_repairs", count t.read_repairs);
+            ("topology_changes", count t.topo_gen);
+          ] );
+      ("shards", J.List shards);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Topology changes                                                    *)
@@ -554,6 +532,9 @@ let broadcast_change t ?skip msg =
                       | `Remove sid ->
                           Result.map ignore (Net.Client.cluster_remove c sid))))
 
+let refused t msg =
+  { Net.Wire.ack_ok = false; ack_epoch = Membership.epoch t.members; ack_msg = msg }
+
 let handle_cluster_add t (a : Net.Wire.cluster_add) =
   let shard =
     {
@@ -563,15 +544,22 @@ let handle_cluster_add t (a : Net.Wire.cluster_add) =
     }
   in
   let outcome =
-    change_topology t (fun () ->
-        match Membership.add_shard t.members shard with
-        | Error _ as e -> e
-        | Ok epoch ->
-            if not (List.mem_assoc shard.Membership.sh_id t.upstreams) then
-              t.upstreams <-
-                (shard.Membership.sh_id, shard_upstream t.cfg shard)
-                :: t.upstreams;
-            Ok epoch)
+    (* the id lands in JSON views and a metric name: refuse it before
+       draining anything *)
+    if not (Membership.valid_id shard.Membership.sh_id) then
+      Error
+        (Printf.sprintf "shard id %S must be [A-Za-z0-9_.-]+"
+           shard.Membership.sh_id)
+    else
+      change_topology t (fun () ->
+          match Membership.add_shard t.members shard with
+          | Error _ as e -> e
+          | Ok epoch ->
+              if not (List.mem_assoc shard.Membership.sh_id t.upstreams) then
+                t.upstreams <-
+                  (shard.Membership.sh_id, shard_upstream t.cfg shard)
+                  :: t.upstreams;
+              Ok epoch)
   in
   match outcome with
   | Ok epoch ->
@@ -583,12 +571,7 @@ let handle_cluster_add t (a : Net.Wire.cluster_add) =
           Printf.sprintf "added %s (%s:%d); ring epoch %d" a.Net.Wire.ca_id
             a.Net.Wire.ca_host a.Net.Wire.ca_port epoch;
       }
-  | Error msg ->
-      {
-        Net.Wire.ack_ok = false;
-        ack_epoch = Membership.epoch t.members;
-        ack_msg = msg;
-      }
+  | Error msg -> refused t msg
 
 let handle_cluster_remove t sid =
   let outcome =
@@ -609,12 +592,7 @@ let handle_cluster_remove t sid =
         ack_epoch = epoch;
         ack_msg = Printf.sprintf "removed %s; ring epoch %d" sid epoch;
       }
-  | Error msg ->
-      {
-        Net.Wire.ack_ok = false;
-        ack_epoch = Membership.epoch t.members;
-        ack_msg = msg;
-      }
+  | Error msg -> refused t msg
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection fibers                                               *)
@@ -645,12 +623,7 @@ let relay_or_busy t conn ~id ?(counted = false) ~busy work =
 let overloaded = Net.Wire.Result Net.Wire.R_overloaded
 
 let topology_busy t =
-  Net.Wire.Cluster_ack
-    {
-      Net.Wire.ack_ok = false;
-      ack_epoch = Membership.epoch t.members;
-      ack_msg = "proxy overloaded; retry the membership change";
-    }
+  Net.Wire.Cluster_ack (refused t "proxy overloaded; retry the membership change")
 
 let dispatch t conn ~id msg =
   let routed work () = with_relay_barrier t work in
@@ -666,17 +639,15 @@ let dispatch t conn ~id msg =
       relay_or_busy t conn ~id ~counted:true ~busy:(Net.Wire.Cache_ack false)
         (routed (fun () -> Net.Wire.Cache_ack (relay_cache_push t p)));
       `Continue
-  | Net.Wire.Stats_req ->
-      relay_or_busy t conn ~id ~busy:overloaded
-        (routed (fun () -> Net.Wire.Stats_text (aggregated_stats_text t)));
-      `Continue
   | Net.Wire.Stats_json_req ->
       relay_or_busy t conn ~id ~busy:overloaded
-        (routed (fun () -> Net.Wire.Stats_json (aggregated_stats_json t)));
+        (routed (fun () ->
+             Net.Wire.Stats_json (Obs.Json.to_string (aggregated_stats_json t))));
       `Continue
   | Net.Wire.Members_json_req ->
       relay_or_busy t conn ~id ~busy:overloaded
-        (routed (fun () -> Net.Wire.Members_json (enriched_members_json t)));
+        (routed (fun () ->
+             Net.Wire.Members_json (Obs.Json.to_string (enriched_members_json t))));
       `Continue
   (* topology changes take the drain side of the barrier, never the
      relay side — not [routed] *)
@@ -688,14 +659,8 @@ let dispatch t conn ~id msg =
       relay_or_busy t conn ~id ~busy:(topology_busy t) (fun () ->
           Net.Wire.Cluster_ack (handle_cluster_remove t sid));
       `Continue
-  | Net.Wire.Metrics_req ->
-      send conn ~id (Net.Wire.Metrics_text (M.dump M.global));
-      `Continue
   | Net.Wire.Metrics_json_req ->
-      send conn ~id (Net.Wire.Metrics_json (M.to_json M.global));
-      `Continue
-  | Net.Wire.Members_req ->
-      send conn ~id (Net.Wire.Members_text (Membership.members_json t.members));
+      send conn ~id (Net.Wire.Metrics_json (Obs.Json.to_string (M.to_json M.global)));
       `Continue
   | Net.Wire.Shutdown_req ->
       (* stops the proxy only; shards are shut down by their own owners *)
@@ -703,9 +668,8 @@ let dispatch t conn ~id msg =
       Atomic.set t.stop true;
       (match t.accept_fiber with Some f -> Aio.cancel f | None -> ());
       `Close
-  | Net.Wire.Pong | Net.Wire.Result _ | Net.Wire.Stats_text _
-  | Net.Wire.Metrics_text _ | Net.Wire.Shutdown_ack | Net.Wire.Cache_ack _
-  | Net.Wire.Stats_json _ | Net.Wire.Metrics_json _ | Net.Wire.Members_text _
+  | Net.Wire.Pong | Net.Wire.Result _ | Net.Wire.Shutdown_ack
+  | Net.Wire.Cache_ack _ | Net.Wire.Stats_json _ | Net.Wire.Metrics_json _
   | Net.Wire.Cluster_ack _ | Net.Wire.Members_json _ ->
       send conn ~id
         (Net.Wire.Result

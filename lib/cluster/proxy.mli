@@ -19,11 +19,17 @@
     when every candidate is unreachable or saturated the proxy sheds
     with the protocol's existing [R_overloaded].
 
-    The proxy also serves cluster-wide observability: [Stats_req] /
-    [Stats_json_req] aggregate every live shard's snapshot,
-    [Members_req] reports ring membership, [Members_json_req] the
-    enriched view (ring epoch, per-shard state and replication
-    counters), [Metrics_req] dumps the proxy's own registry.
+    The proxy also serves cluster-wide observability, all as JSON
+    built with {!Obs.Json}: [Stats_json_req] answers
+    [{"proxy":{routed, failovers, shed, members},"shards":{id: stats}}]
+    with every live shard's {!Service.Stats.to_json} ([null] for one
+    that is down or unreachable); [Members_json_req] the membership
+    view (ring epoch, vnodes, proxy routing counters, per-shard state,
+    idle connections and replication counters); [Metrics_json_req] the
+    proxy's own registry.  [cedarctl] renders the text views.
+
+    A [Cluster_add] whose shard id is not {!Membership.valid_id} is
+    refused with [ack_ok = false] and the epoch unchanged.
 
     {b Topology changes.}  [Cluster_add] / [Cluster_remove] frames
     (from [cedarctl cluster add/remove]) change the member set at

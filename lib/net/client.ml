@@ -344,47 +344,18 @@ let submit ?(trace = 0) t ~name ~options source =
   | Ok other -> unexpected "Result" other
   | Error _ as e -> e
 
-let stats t =
-  match request t Wire.Stats_req with
-  | Ok (Wire.Stats_text s) -> Ok s
+(* the JSON views share one reply shape: the document, or a typed error
+   (a plain shard has no membership view) *)
+let json_view t req =
+  match request t req with
+  | Ok (Wire.Stats_json s | Wire.Metrics_json s | Wire.Members_json s) -> Ok s
   | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Stats_text" other
+  | Ok other -> unexpected "a JSON reply" other
   | Error _ as e -> e
 
-let metrics t =
-  match request t Wire.Metrics_req with
-  | Ok (Wire.Metrics_text s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Metrics_text" other
-  | Error _ as e -> e
-
-let stats_json t =
-  match request t Wire.Stats_json_req with
-  | Ok (Wire.Stats_json s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Stats_json" other
-  | Error _ as e -> e
-
-let metrics_json t =
-  match request t Wire.Metrics_json_req with
-  | Ok (Wire.Metrics_json s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Metrics_json" other
-  | Error _ as e -> e
-
-let members t =
-  match request t Wire.Members_req with
-  | Ok (Wire.Members_text s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Members_text" other
-  | Error _ as e -> e
-
-let members_json t =
-  match request t Wire.Members_json_req with
-  | Ok (Wire.Members_json s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Members_json" other
-  | Error _ as e -> e
+let stats_json t = json_view t Wire.Stats_json_req
+let metrics_json t = json_view t Wire.Metrics_json_req
+let members_json t = json_view t Wire.Members_json_req
 
 let cluster_add t (a : Wire.cluster_add) =
   match request t (Wire.Cluster_add a) with

@@ -1,7 +1,8 @@
 (** Minimal HTTP/1.0 scrape endpoint: every GET (any path) answers
     [200 OK] with the text produced by the [dump] thunk — intended to
-    serve {!Obs.Metrics.dump} to a Prometheus scraper or [curl].  One
-    request per connection, 2 s read / 5 s write deadlines. *)
+    serve {!Obs.Metrics.dump}, the Prometheus rendering of the
+    registry's JSON snapshot, to a scraper or [curl].  One request per
+    connection, 2 s read / 5 s write deadlines. *)
 
 type t
 

@@ -351,6 +351,16 @@ let admit_submit t conn ~id (s : Wire.submit) =
                pd_start = now () })
   end
 
+(* a topology change pushed down from the proxy: a shard that
+   replicates re-aims its successor pushes at the new ring *)
+let cluster_change t conn ~id change =
+  let ack_ok, ack_epoch, ack_msg =
+    match t.on_cluster_change with
+    | Some f -> f change
+    | None -> (false, 0, "shard runs without a cluster view")
+  in
+  send t conn ~id (Wire.Cluster_ack { ack_ok; ack_epoch; ack_msg })
+
 let dispatch t conn ~id msg =
   match msg with
   | Wire.Ping ->
@@ -360,19 +370,14 @@ let dispatch t conn ~id msg =
       M.incr m_requests;
       admit_submit t conn ~id s;
       `Continue
-  | Wire.Stats_req ->
-      send t conn ~id
-        (Wire.Stats_text (Service.Stats.to_string (Service.Server.stats t.svc)));
-      `Continue
-  | Wire.Metrics_req ->
-      send t conn ~id (Wire.Metrics_text (M.dump M.global));
-      `Continue
   | Wire.Stats_json_req ->
       send t conn ~id
-        (Wire.Stats_json (Service.Stats.to_json (Service.Server.stats t.svc)));
+        (Wire.Stats_json
+           (Obs.Json.to_string
+              (Service.Stats.to_json (Service.Server.stats t.svc))));
       `Continue
   | Wire.Metrics_json_req ->
-      send t conn ~id (Wire.Metrics_json (M.to_json M.global));
+      send t conn ~id (Wire.Metrics_json (Obs.Json.to_string (M.to_json M.global)));
       `Continue
   | Wire.Cache_push p ->
       (* warm-cache replication from a ring peer: verify + admit, then
@@ -395,50 +400,26 @@ let dispatch t conn ~id msg =
       in
       send t conn ~id (Wire.Cache_ack admitted);
       `Continue
-  | Wire.Members_req | Wire.Members_json_req ->
+  | Wire.Members_json_req ->
       (* membership lives in the proxy; a plain shard has no view *)
       send t conn ~id
         (Wire.Result (Wire.R_error "not a cluster proxy: no membership view"));
       `Continue
-  | Wire.Cluster_add a -> (
-      (* topology change pushed down from the proxy: a shard that
-         replicates re-aims its successor pushes at the new ring *)
-      match t.on_cluster_change with
-      | Some f ->
-          let ok, epoch, msg =
-            f (`Add (a.Wire.ca_id, a.Wire.ca_host, a.Wire.ca_port))
-          in
-          send t conn ~id
-            (Wire.Cluster_ack { ack_ok = ok; ack_epoch = epoch; ack_msg = msg });
-          `Continue
-      | None ->
-          send t conn ~id
-            (Wire.Cluster_ack
-               { ack_ok = false; ack_epoch = 0;
-                 ack_msg = "shard runs without a cluster view" });
-          `Continue)
-  | Wire.Cluster_remove sid -> (
-      match t.on_cluster_change with
-      | Some f ->
-          let ok, epoch, msg = f (`Remove sid) in
-          send t conn ~id
-            (Wire.Cluster_ack { ack_ok = ok; ack_epoch = epoch; ack_msg = msg });
-          `Continue
-      | None ->
-          send t conn ~id
-            (Wire.Cluster_ack
-               { ack_ok = false; ack_epoch = 0;
-                 ack_msg = "shard runs without a cluster view" });
-          `Continue)
+  | Wire.Cluster_add a ->
+      cluster_change t conn ~id
+        (`Add (a.Wire.ca_id, a.Wire.ca_host, a.Wire.ca_port));
+      `Continue
+  | Wire.Cluster_remove sid ->
+      cluster_change t conn ~id (`Remove sid);
+      `Continue
   | Wire.Shutdown_req ->
       send t conn ~id Wire.Shutdown_ack;
       Atomic.set t.stop true;
       (* wake the accept fiber so the stop is noticed immediately *)
       (match t.accept_fiber with Some f -> Aio.cancel f | None -> ());
       `Close
-  | Wire.Pong | Wire.Result _ | Wire.Stats_text _ | Wire.Metrics_text _
-  | Wire.Shutdown_ack | Wire.Cache_ack _ | Wire.Stats_json _
-  | Wire.Metrics_json _ | Wire.Members_text _ | Wire.Cluster_ack _
+  | Wire.Pong | Wire.Result _ | Wire.Shutdown_ack | Wire.Cache_ack _
+  | Wire.Stats_json _ | Wire.Metrics_json _ | Wire.Cluster_ack _
   | Wire.Members_json _ ->
       send t conn ~id
         (Wire.Result
@@ -669,8 +650,6 @@ let request_stop t =
       match t.accept_fiber with
       | Some f -> Aio.cancel_on t.sched f
       | None -> ())
-
-let stop_requested t = Atomic.get t.stop
 
 let wait_stop t =
   while not (Atomic.get t.stop) do

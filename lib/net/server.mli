@@ -25,7 +25,8 @@
     {b Observability.}  Every submit carries (or is minted) an
     {!Obs.Trace} id that rides the job end to end and returns in the
     reply; connection/request/shed/bytes counters land in
-    {!Obs.Metrics.global}.
+    {!Obs.Metrics.global}.  Stats and metrics requests are answered
+    with JSON ({!Service.Stats.to_json}, {!Obs.Metrics.to_json}).
 
     {b Chaos.}  An attached {!Service.Fault} injector with network
     sites armed attacks the wire itself: accepted connections dropped,
@@ -48,8 +49,8 @@ val default_cfg : cfg
 
 type t
 
-(** A topology change pushed down from the cluster proxy over the wire
-    (protocol v3): [`Add (id, host, port)] or [`Remove id]. *)
+(** A topology change pushed down from the cluster proxy over the wire:
+    [`Add (id, host, port)] or [`Remove id]. *)
 type cluster_change = [ `Add of string * string * int | `Remove of string ]
 
 val create :
@@ -74,8 +75,6 @@ val port : t -> int
 val request_stop : t -> unit
 (** Ask the server to stop — callable from a signal handler (it only
     sets an atomic flag).  {!wait_stop} returns shortly after. *)
-
-val stop_requested : t -> bool
 
 val wait_stop : t -> unit
 (** Block until {!request_stop} is called (signal path) or a

@@ -6,8 +6,7 @@
    frame must never raise out of [decode] or [Stream.next]. *)
 
 let magic = "CDRN"
-let version = 4
-let min_version = 1
+let version = 5
 let header_bytes = 20
 let hard_max_payload = 1 lsl 26 (* 64 MiB *)
 
@@ -44,9 +43,9 @@ type submit = {
   sub_trace : int;
 }
 
-(* Warm-cache replication (protocol v2): a shard pushes a completed
-   full-rung cache entry to its ring successor.  The rung is implicit —
-   only full-rung results are ever cached, so only they replicate. *)
+(* Warm-cache replication: a shard pushes a completed full-rung cache
+   entry to its ring successor.  The rung is implicit — only full-rung
+   results are ever cached, so only they replicate. *)
 type cache_push = {
   cp_key : string;  (* content address minted on the origin shard *)
   cp_digest : string;  (* digest of [cp_text] at fill time *)
@@ -57,9 +56,9 @@ type cache_push = {
   cp_notes : note list;
 }
 
-(* Dynamic membership (protocol v3): an operator adds or removes a
-   shard from a running proxy's member set.  The ack echoes the ring
-   epoch the change produced, so a caller can assert convergence. *)
+(* Dynamic membership: an operator adds or removes a shard from a
+   running proxy's member set.  The ack echoes the ring epoch the
+   change produced, so a caller can assert convergence. *)
 type cluster_add = { ca_id : string; ca_host : string; ca_port : int }
 type cluster_ack = { ack_ok : bool; ack_epoch : int; ack_msg : string }
 
@@ -85,22 +84,14 @@ type message =
   | Pong
   | Submit of submit
   | Result of reply
-  | Stats_req
-  | Stats_text of string
-  | Metrics_req
-  | Metrics_text of string
   | Shutdown_req
   | Shutdown_ack
-  (* protocol v2 *)
   | Cache_push of cache_push
   | Cache_ack of bool
   | Stats_json_req
   | Stats_json of string
   | Metrics_json_req
   | Metrics_json of string
-  | Members_req
-  | Members_text of string
-  (* protocol v3 *)
   | Cluster_add of cluster_add
   | Cluster_remove of string
   | Cluster_ack of cluster_ack
@@ -110,18 +101,8 @@ type message =
 let kind_code = function
   | Ping -> 1
   | Pong -> 2
-  (* a Submit for the default Cedar target keeps its original v1 kind
-     (and byte layout), so new clients stay wire-compatible with old
-     servers for everything old servers can do; only a non-default
-     target needs the v4 kind *)
-  | Submit s when s.sub_options.Restructurer.Options.target = Codegen.Target.Cedar
-    -> 3
-  | Submit _ -> 24
+  | Submit _ -> 3
   | Result _ -> 4
-  | Stats_req -> 5
-  | Stats_text _ -> 6
-  | Metrics_req -> 7
-  | Metrics_text _ -> 8
   | Shutdown_req -> 9
   | Shutdown_ack -> 10
   | Cache_push _ -> 11
@@ -130,31 +111,17 @@ let kind_code = function
   | Stats_json _ -> 14
   | Metrics_json_req -> 15
   | Metrics_json _ -> 16
-  | Members_req -> 17
-  | Members_text _ -> 18
   | Cluster_add _ -> 19
   | Cluster_remove _ -> 20
   | Cluster_ack _ -> 21
   | Members_json_req -> 22
   | Members_json _ -> 23
 
-(* Frames carrying a v1 kind are stamped version 1, so a new peer stays
-   wire-compatible with an old one for the whole original protocol; the
-   v2 kinds are stamped 2, the v3 kinds 3 and the v4 kinds 4, so an old
-   decoder rejects exactly (and only) the messages it cannot understand
-   with a typed [Bad_version]. *)
-let version_for_kind k =
-  if k >= 24 then 4 else if k >= 19 then 3 else if k >= 11 then 2 else 1
-
 let message_kind_name = function
   | Ping -> "ping"
   | Pong -> "pong"
   | Submit _ -> "submit"
   | Result _ -> "result"
-  | Stats_req -> "stats-req"
-  | Stats_text _ -> "stats"
-  | Metrics_req -> "metrics-req"
-  | Metrics_text _ -> "metrics"
   | Shutdown_req -> "shutdown-req"
   | Shutdown_ack -> "shutdown-ack"
   | Cache_push _ -> "cache-push"
@@ -163,8 +130,6 @@ let message_kind_name = function
   | Stats_json _ -> "stats-json"
   | Metrics_json_req -> "metrics-json-req"
   | Metrics_json _ -> "metrics-json"
-  | Members_req -> "members-req"
-  | Members_text _ -> "members"
   | Cluster_add _ -> "cluster-add"
   | Cluster_remove _ -> "cluster-remove"
   | Cluster_ack _ -> "cluster-ack"
@@ -216,94 +181,84 @@ let put_opt_f64 b = function
       put_u8 b 1;
       put_f64 b v
 
-(* the 18 technique flags, in declaration order of Options.techniques —
-   the wire bit position is the list position *)
-let technique_getters =
+(* A record's wire layout as one table: each field's wire type, getter
+   and functional setter, in wire order.  The encoder and the decoder
+   walk the same table, so the two directions cannot drift apart. *)
+type 'r field =
+  | B of ('r -> bool) * ('r -> bool -> 'r)
+  | I of ('r -> int) * ('r -> int -> 'r)
+  | F of ('r -> float) * ('r -> float -> 'r)
+  | S of ('r -> string) * ('r -> string -> 'r)
+
+let put_fields b fields r =
+  List.iter
+    (function
+      | B (get, _) -> put_bool b (get r)
+      | I (get, _) -> put_int b (get r)
+      | F (get, _) -> put_f64 b (get r)
+      | S (get, _) -> put_string b (get r))
+    fields
+
+(* the 18 technique flags, in declaration order of Options.techniques *)
+let technique_fields : Restructurer.Options.techniques field list =
   [
-    (fun (t : Restructurer.Options.techniques) -> t.scalar_privatization);
-    (fun t -> t.scalar_expansion);
-    (fun t -> t.simple_induction);
-    (fun t -> t.simple_reduction);
-    (fun t -> t.doacross);
-    (fun t -> t.stripmining);
-    (fun t -> t.if_to_where);
-    (fun t -> t.inline_expansion);
-    (fun t -> t.loop_interchange);
-    (fun t -> t.recurrence_substitution);
-    (fun t -> t.array_privatization);
-    (fun t -> t.generalized_reduction);
-    (fun t -> t.giv_substitution);
-    (fun t -> t.runtime_dep_test);
-    (fun t -> t.critical_sections);
-    (fun t -> t.interprocedural);
-    (fun t -> t.loop_fusion);
-    (fun t -> t.loop_distribution);
+    B ((fun t -> t.scalar_privatization), fun t v -> { t with scalar_privatization = v });
+    B ((fun t -> t.scalar_expansion), fun t v -> { t with scalar_expansion = v });
+    B ((fun t -> t.simple_induction), fun t v -> { t with simple_induction = v });
+    B ((fun t -> t.simple_reduction), fun t v -> { t with simple_reduction = v });
+    B ((fun t -> t.doacross), fun t v -> { t with doacross = v });
+    B ((fun t -> t.stripmining), fun t v -> { t with stripmining = v });
+    B ((fun t -> t.if_to_where), fun t v -> { t with if_to_where = v });
+    B ((fun t -> t.inline_expansion), fun t v -> { t with inline_expansion = v });
+    B ((fun t -> t.loop_interchange), fun t v -> { t with loop_interchange = v });
+    B ((fun t -> t.recurrence_substitution), fun t v -> { t with recurrence_substitution = v });
+    B ((fun t -> t.array_privatization), fun t v -> { t with array_privatization = v });
+    B ((fun t -> t.generalized_reduction), fun t v -> { t with generalized_reduction = v });
+    B ((fun t -> t.giv_substitution), fun t v -> { t with giv_substitution = v });
+    B ((fun t -> t.runtime_dep_test), fun t v -> { t with runtime_dep_test = v });
+    B ((fun t -> t.critical_sections), fun t v -> { t with critical_sections = v });
+    B ((fun t -> t.interprocedural), fun t v -> { t with interprocedural = v });
+    B ((fun t -> t.loop_fusion), fun t v -> { t with loop_fusion = v });
+    B ((fun t -> t.loop_distribution), fun t v -> { t with loop_distribution = v });
   ]
 
-let techniques_mask (t : Restructurer.Options.techniques) =
-  List.fold_left
-    (fun (acc, bit) get -> ((acc lor if get t then 1 lsl bit else 0), bit + 1))
-    (0, 0) technique_getters
-  |> fst
-
-let techniques_of_mask m : Restructurer.Options.techniques =
-  let bit i = m land (1 lsl i) <> 0 in
-  {
-    scalar_privatization = bit 0;
-    scalar_expansion = bit 1;
-    simple_induction = bit 2;
-    simple_reduction = bit 3;
-    doacross = bit 4;
-    stripmining = bit 5;
-    if_to_where = bit 6;
-    inline_expansion = bit 7;
-    loop_interchange = bit 8;
-    recurrence_substitution = bit 9;
-    array_privatization = bit 10;
-    generalized_reduction = bit 11;
-    giv_substitution = bit 12;
-    runtime_dep_test = bit 13;
-    critical_sections = bit 14;
-    interprocedural = bit 15;
-    loop_fusion = bit 16;
-    loop_distribution = bit 17;
-  }
-
-let put_machine b (m : Machine.Config.t) =
-  put_string b m.name;
-  put_int b m.clusters;
-  put_int b m.ces_per_cluster;
-  put_f64 b m.cache_hit;
-  put_f64 b m.cluster_scalar;
-  put_f64 b m.global_scalar;
-  put_f64 b m.cluster_vector;
-  put_f64 b m.global_vector;
-  put_f64 b m.global_vector_prefetched;
-  put_f64 b m.vector_startup;
-  put_int b m.prefetch_depth;
-  put_bool b m.prefetch;
-  put_int b m.cache_bytes;
-  put_f64 b m.cdo_startup;
-  put_f64 b m.cdo_dispatch;
-  put_f64 b m.sdo_startup;
-  put_f64 b m.sdo_dispatch;
-  put_f64 b m.await_cost;
-  put_f64 b m.lock_cost;
-  put_f64 b m.task_start_ctsk;
-  put_f64 b m.task_start_mtsk;
-  put_f64 b m.scalar_op;
-  put_f64 b m.vector_op;
-  put_f64 b m.intrinsic_op;
-  put_int b m.cluster_mem_bytes;
-  put_int b m.global_mem_bytes;
-  put_int b m.page_bytes;
-  put_f64 b m.page_fault_cycles;
-  put_f64 b m.global_bw;
-  put_f64 b m.cluster_bw
+let machine_fields : Machine.Config.t field list =
+  [
+    S ((fun m -> m.name), fun m v -> { m with name = v });
+    I ((fun m -> m.clusters), fun m v -> { m with clusters = v });
+    I ((fun m -> m.ces_per_cluster), fun m v -> { m with ces_per_cluster = v });
+    F ((fun m -> m.cache_hit), fun m v -> { m with cache_hit = v });
+    F ((fun m -> m.cluster_scalar), fun m v -> { m with cluster_scalar = v });
+    F ((fun m -> m.global_scalar), fun m v -> { m with global_scalar = v });
+    F ((fun m -> m.cluster_vector), fun m v -> { m with cluster_vector = v });
+    F ((fun m -> m.global_vector), fun m v -> { m with global_vector = v });
+    F ((fun m -> m.global_vector_prefetched), fun m v -> { m with global_vector_prefetched = v });
+    F ((fun m -> m.vector_startup), fun m v -> { m with vector_startup = v });
+    I ((fun m -> m.prefetch_depth), fun m v -> { m with prefetch_depth = v });
+    B ((fun m -> m.prefetch), fun m v -> { m with prefetch = v });
+    I ((fun m -> m.cache_bytes), fun m v -> { m with cache_bytes = v });
+    F ((fun m -> m.cdo_startup), fun m v -> { m with cdo_startup = v });
+    F ((fun m -> m.cdo_dispatch), fun m v -> { m with cdo_dispatch = v });
+    F ((fun m -> m.sdo_startup), fun m v -> { m with sdo_startup = v });
+    F ((fun m -> m.sdo_dispatch), fun m v -> { m with sdo_dispatch = v });
+    F ((fun m -> m.await_cost), fun m v -> { m with await_cost = v });
+    F ((fun m -> m.lock_cost), fun m v -> { m with lock_cost = v });
+    F ((fun m -> m.task_start_ctsk), fun m v -> { m with task_start_ctsk = v });
+    F ((fun m -> m.task_start_mtsk), fun m v -> { m with task_start_mtsk = v });
+    F ((fun m -> m.scalar_op), fun m v -> { m with scalar_op = v });
+    F ((fun m -> m.vector_op), fun m v -> { m with vector_op = v });
+    F ((fun m -> m.intrinsic_op), fun m v -> { m with intrinsic_op = v });
+    I ((fun m -> m.cluster_mem_bytes), fun m v -> { m with cluster_mem_bytes = v });
+    I ((fun m -> m.global_mem_bytes), fun m v -> { m with global_mem_bytes = v });
+    I ((fun m -> m.page_bytes), fun m v -> { m with page_bytes = v });
+    F ((fun m -> m.page_fault_cycles), fun m v -> { m with page_fault_cycles = v });
+    F ((fun m -> m.global_bw), fun m v -> { m with global_bw = v });
+    F ((fun m -> m.cluster_bw), fun m v -> { m with cluster_bw = v });
+  ]
 
 let put_options b (o : Restructurer.Options.t) =
-  put_int b (techniques_mask o.techniques);
-  put_machine b o.machine;
+  put_fields b technique_fields o.techniques;
+  put_fields b machine_fields o.machine;
   put_int b o.max_versions;
   put_int b o.strip;
   put_int b o.inline_limits.Transform.Inline.max_depth;
@@ -354,23 +309,17 @@ let put_reply b = function
       put_string b msg
 
 let payload_of = function
-  | Ping | Pong | Stats_req | Metrics_req | Shutdown_req | Shutdown_ack
-  | Stats_json_req | Metrics_json_req | Members_req | Members_json_req ->
+  | Ping | Pong | Shutdown_req | Shutdown_ack | Stats_json_req
+  | Metrics_json_req | Members_json_req ->
       ""
-  | Stats_text s | Metrics_text s | Stats_json s | Metrics_json s
-  | Members_text s | Members_json s ->
-      s
+  | Stats_json s | Metrics_json s | Members_json s -> s
   | Submit s ->
       let b = Buffer.create (String.length s.sub_source + 256) in
       put_string b s.sub_name;
       put_string b s.sub_source;
       put_options b s.sub_options;
       put_int b s.sub_trace;
-      (* the v4 Submit (kind 24) appends the target byte; a Cedar-target
-         Submit travels as the byte-identical v1 kind 3 frame *)
-      (match s.sub_options.Restructurer.Options.target with
-      | Codegen.Target.Cedar -> ()
-      | t -> put_u8 b (Codegen.Target.code t));
+      put_u8 b (Codegen.Target.code s.sub_options.Restructurer.Options.target);
       Buffer.contents b
   | Result r ->
       let b = Buffer.create 256 in
@@ -412,7 +361,7 @@ let encode ~id msg =
   let payload = payload_of msg in
   let b = Buffer.create (header_bytes + String.length payload) in
   Buffer.add_string b magic;
-  put_u8 b (version_for_kind (kind_code msg));
+  put_u8 b version;
   put_u8 b (kind_code msg);
   Buffer.add_uint16_be b 0;
   Buffer.add_int64_be b (Int64.of_int id);
@@ -484,73 +433,20 @@ let get_count c what =
     raise (Err (Malformed (Printf.sprintf "implausible %s count %d" what n)));
   n
 
-let get_machine c : Machine.Config.t =
-  let name = get_string c in
-  let clusters = get_int c in
-  let ces_per_cluster = get_int c in
-  let cache_hit = get_f64 c in
-  let cluster_scalar = get_f64 c in
-  let global_scalar = get_f64 c in
-  let cluster_vector = get_f64 c in
-  let global_vector = get_f64 c in
-  let global_vector_prefetched = get_f64 c in
-  let vector_startup = get_f64 c in
-  let prefetch_depth = get_int c in
-  let prefetch = get_bool c in
-  let cache_bytes = get_int c in
-  let cdo_startup = get_f64 c in
-  let cdo_dispatch = get_f64 c in
-  let sdo_startup = get_f64 c in
-  let sdo_dispatch = get_f64 c in
-  let await_cost = get_f64 c in
-  let lock_cost = get_f64 c in
-  let task_start_ctsk = get_f64 c in
-  let task_start_mtsk = get_f64 c in
-  let scalar_op = get_f64 c in
-  let vector_op = get_f64 c in
-  let intrinsic_op = get_f64 c in
-  let cluster_mem_bytes = get_int c in
-  let global_mem_bytes = get_int c in
-  let page_bytes = get_int c in
-  let page_fault_cycles = get_f64 c in
-  let global_bw = get_f64 c in
-  let cluster_bw = get_f64 c in
-  {
-    Machine.Config.name;
-    clusters;
-    ces_per_cluster;
-    cache_hit;
-    cluster_scalar;
-    global_scalar;
-    cluster_vector;
-    global_vector;
-    global_vector_prefetched;
-    vector_startup;
-    prefetch_depth;
-    prefetch;
-    cache_bytes;
-    cdo_startup;
-    cdo_dispatch;
-    sdo_startup;
-    sdo_dispatch;
-    await_cost;
-    lock_cost;
-    task_start_ctsk;
-    task_start_mtsk;
-    scalar_op;
-    vector_op;
-    intrinsic_op;
-    cluster_mem_bytes;
-    global_mem_bytes;
-    page_bytes;
-    page_fault_cycles;
-    global_bw;
-    cluster_bw;
-  }
+let get_fields c fields base =
+  List.fold_left
+    (fun r -> function
+      | B (_, set) -> set r (get_bool c)
+      | I (_, set) -> set r (get_int c)
+      | F (_, set) -> set r (get_f64 c)
+      | S (_, set) -> set r (get_string c))
+    base fields
 
 let get_options c : Restructurer.Options.t =
-  let techniques = techniques_of_mask (get_int c) in
-  let machine = get_machine c in
+  let techniques =
+    get_fields c technique_fields Restructurer.Options.base_techniques
+  in
+  let machine = get_fields c machine_fields Machine.Config.cedar_config1 in
   let max_versions = get_int c in
   let strip = get_int c in
   let max_depth = get_int c in
@@ -572,7 +468,7 @@ let get_options c : Restructurer.Options.t =
     placement_default;
     assumed_trip;
     validate;
-    (* the v1 options block has no target field; kind 24 overrides *)
+    (* the target byte closes the Submit payload; [get_submit] sets it *)
     target = Codegen.Target.Cedar;
   }
 
@@ -620,7 +516,17 @@ let get_submit c =
   let sub_source = get_string c in
   let sub_options = get_options c in
   let sub_trace = get_int c in
-  { sub_name; sub_source; sub_options; sub_trace }
+  let target =
+    match Codegen.Target.of_code (get_u8 c) with
+    | Some t -> t
+    | None -> raise (Err (Malformed "unknown codegen target"))
+  in
+  {
+    sub_name;
+    sub_source;
+    sub_options = { sub_options with Restructurer.Options.target };
+    sub_trace;
+  }
 
 let get_cache_push c =
   let cp_key = get_string c in
@@ -655,10 +561,6 @@ let decode_payload_at kind src ~pos ~len =
     | 2 -> empty Pong
     | 3 -> Submit (get_submit c)
     | 4 -> Result (get_reply c)
-    | 5 -> empty Stats_req
-    | 6 -> Stats_text (text ())
-    | 7 -> empty Metrics_req
-    | 8 -> Metrics_text (text ())
     | 9 -> empty Shutdown_req
     | 10 -> empty Shutdown_ack
     | 11 -> Cache_push (get_cache_push c)
@@ -667,8 +569,6 @@ let decode_payload_at kind src ~pos ~len =
     | 14 -> Stats_json (text ())
     | 15 -> empty Metrics_json_req
     | 16 -> Metrics_json (text ())
-    | 17 -> empty Members_req
-    | 18 -> Members_text (text ())
     | 19 ->
         let ca_id = get_string c in
         let ca_host = get_string c in
@@ -682,18 +582,6 @@ let decode_payload_at kind src ~pos ~len =
         Cluster_ack { ack_ok; ack_epoch; ack_msg }
     | 22 -> empty Members_json_req
     | 23 -> Members_json (text ())
-    | 24 ->
-        let s = get_submit c in
-        let target =
-          match Codegen.Target.of_code (get_u8 c) with
-          | Some t -> t
-          | None -> raise (Err (Malformed "unknown codegen target"))
-        in
-        Submit
-          {
-            s with
-            sub_options = { s.sub_options with Restructurer.Options.target };
-          }
     | k -> raise (Err (Bad_kind k))
   in
   if c.pos <> c.limit then raise (Err (Malformed "trailing payload bytes"));
@@ -712,7 +600,7 @@ let decode_header_at src ~pos ~len =
   else if not (magic_at src pos) then Error Bad_magic
   else
     let v = Char.code (Bytes.get src (pos + 4)) in
-    if v < min_version || v > version then Error (Bad_version v)
+    if v <> version then Error (Bad_version v)
     else
       let kind = Char.code (Bytes.get src (pos + 5)) in
       let id = Int64.to_int (Bytes.get_int64_be src (pos + 8)) in

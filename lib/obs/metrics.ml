@@ -135,82 +135,86 @@ let sorted t =
             in
             fun a b -> compare (name a) (name b)))
 
-(* %.17g-style float printing would be noisy; %g keeps dumps readable
-   and round-trips the magnitudes we record (counts and seconds) *)
+(* text values: integral floats print without a fraction, others %g *)
 let fstr v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-let dump t =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun m ->
-      (match m with
-      | Counter c ->
-          if c.c_help <> "" then
-            Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" c.c_name c.c_help);
-          Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" c.c_name);
-          Buffer.add_string b
-            (Printf.sprintf "%s %d\n" c.c_name (Atomic.get c.c_cell))
-      | Gauge g ->
-          if g.g_help <> "" then
-            Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" g.g_name g.g_help);
-          Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" g.g_name);
-          Buffer.add_string b
-            (Printf.sprintf "%s %s\n" g.g_name (fstr (Atomic.get g.g_cell)))
-      | Histogram h ->
-          if h.h_help <> "" then
-            Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" h.h_name h.h_help);
-          Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" h.h_name);
-          Mutex.lock h.h_mx;
-          let cum = ref 0 in
-          Array.iteri
-            (fun i bound ->
-              cum := !cum + h.h_counts.(i);
-              Buffer.add_string b
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" h.h_name
-                   (fstr bound) !cum))
-            h.h_bounds;
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" h.h_name h.h_count);
-          Buffer.add_string b
-            (Printf.sprintf "%s_sum %s\n" h.h_name (fstr h.h_sum));
-          Buffer.add_string b
-            (Printf.sprintf "%s_count %d\n" h.h_name h.h_count);
-          Mutex.unlock h.h_mx))
-    (sorted t);
-  Buffer.contents b
-
+(* the snapshot every view derives from: one entry per instrument,
+   keyed by name, help last *)
 let to_json t =
-  let item m =
-    match m with
+  let module J = Json in
+  let entry = function
     | Counter c ->
-        Printf.sprintf {|"%s":{"type":"counter","value":%d}|} c.c_name
-          (Atomic.get c.c_cell)
+        ( c.c_name,
+          J.Obj
+            [
+              ("type", J.String "counter");
+              ("value", J.Int (Atomic.get c.c_cell));
+              ("help", J.String c.c_help);
+            ] )
     | Gauge g ->
-        Printf.sprintf {|"%s":{"type":"gauge","value":%s}|} g.g_name
-          (fstr (Atomic.get g.g_cell))
+        ( g.g_name,
+          J.Obj
+            [
+              ("type", J.String "gauge");
+              ("value", J.Float (Atomic.get g.g_cell));
+              ("help", J.String g.g_help);
+            ] )
     | Histogram h ->
         Mutex.lock h.h_mx;
         let buckets =
-          String.concat ","
-            (Array.to_list
-               (Array.mapi
-                  (fun i bound ->
-                    Printf.sprintf {|{"le":%s,"n":%d}|} (fstr bound)
-                      h.h_counts.(i))
-                  h.h_bounds))
+          Array.to_list
+            (Array.mapi
+               (fun i bound ->
+                 J.Obj [ ("le", J.Float bound); ("n", J.Int h.h_counts.(i)) ])
+               h.h_bounds)
         in
-        let s =
-          Printf.sprintf
-            {|"%s":{"type":"histogram","count":%d,"sum":%s,"buckets":[%s]}|}
-            h.h_name h.h_count (fstr h.h_sum) buckets
+        let fields =
+          [
+            ("type", J.String "histogram");
+            ("count", J.Int h.h_count);
+            ("sum", J.Float h.h_sum);
+            ("buckets", J.List buckets);
+            ("help", J.String h.h_help);
+          ]
         in
         Mutex.unlock h.h_mx;
-        s
+        (h.h_name, J.Obj fields)
   in
-  "{" ^ String.concat "," (List.map item (sorted t)) ^ "}"
+  J.Obj (List.map entry (sorted t))
+
+let render json =
+  let module J = Json in
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  List.iter
+    (fun (name, m) ->
+      let kind = J.to_str (J.member "type" m) in
+      let help = J.to_str (J.member "help" m) in
+      if help <> "" then line "# HELP %s %s" name help;
+      line "# TYPE %s %s" name kind;
+      match kind with
+      | "counter" -> line "%s %d" name (J.to_int (J.member "value" m))
+      | "gauge" -> line "%s %s" name (fstr (J.to_float (J.member "value" m)))
+      | _ ->
+          let count = J.to_int (J.member "count" m) in
+          let cum = ref 0 in
+          List.iter
+            (fun bk ->
+              cum := !cum + J.to_int (J.member "n" bk);
+              line "%s_bucket{le=\"%s\"} %d" name
+                (fstr (J.to_float (J.member "le" bk)))
+                !cum)
+            (J.to_list (J.member "buckets" m));
+          line "%s_bucket{le=\"+Inf\"} %d" name count;
+          line "%s_sum %s" name (fstr (J.to_float (J.member "sum" m)));
+          line "%s_count %d" name count)
+    (match json with J.Obj entries -> entries | _ -> []);
+  Buffer.contents b
+
+let dump t = render (to_json t)
 
 let reset t =
   with_lock t (fun () ->

@@ -1,5 +1,5 @@
 (** Process-wide metrics registry: named counters, gauges and histograms
-    with a [/metrics]-style text dump and a JSON export.
+    with a JSON snapshot and its [/metrics]-style text rendering.
 
     Counters and gauges are atomics, so increments from concurrent worker
     domains merge without locks; histograms take a short per-histogram
@@ -44,13 +44,19 @@ val histogram_sum : histogram -> float
 val find : t -> string -> [ `Counter of int | `Gauge of float | `None ]
 (** Point read by name, without creating anything. *)
 
-val dump : t -> string
-(** Text exposition, one instrument per stanza ([# TYPE name kind] then
-    the samples), names sorted — the [/metrics] page of a service that
-    has no HTTP listener. *)
+val to_json : t -> Json.t
+(** The registry snapshot: one object keyed by instrument name (sorted),
+    each entry [{"type":…, …, "help":…}] — a counter or gauge carries
+    ["value"], a histogram ["count"], ["sum"] and per-bound ["buckets"]
+    ([{"le":bound,"n":count}], not cumulative). *)
 
-val to_json : t -> string
-(** The same data as one JSON object keyed by instrument name. *)
+val render : Json.t -> string
+(** Prometheus text exposition of a {!to_json} snapshot, one stanza per
+    instrument ([# HELP] when there is help text, [# TYPE], then the
+    samples, histogram buckets cumulative). *)
+
+val dump : t -> string
+(** [render (to_json t)] — the [/metrics] page. *)
 
 val reset : t -> unit
 (** Zero every instrument (tests); instruments stay registered. *)

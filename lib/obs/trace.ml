@@ -176,56 +176,44 @@ let rec find_spans p forest =
 (* Chrome trace-event output                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* one complete ("X") event per finished span; args carry the trace id,
-   attributes and counters *)
-let rec emit_events buf ~epoch ~first tr =
-  if not !first then Buffer.add_string buf ",\n";
-  first := false;
-  let ts = (tr.t_start_s -. epoch) *. 1e6 in
-  let dur = Float.max 0.0 (tr.t_stop_s -. tr.t_start_s) *. 1e6 in
+(* one complete ("X") event per finished span, in preorder; args carry
+   the trace id, attributes and counters.  Times are microseconds from
+   tracer creation, rounded to 0.1 us. *)
+let rec events ~epoch tr =
+  let us x = Float.round (x *. 1e7) /. 10.0 in
   let args =
-    (if tr.t_trace > 0 then [ Printf.sprintf {|"trace":%d|} tr.t_trace ]
-     else [])
-    @ List.map
-        (fun (k, v) ->
-          Printf.sprintf {|"%s":"%s"|} (json_escape k) (json_escape v))
-        tr.t_attrs
-    @ List.map
-        (fun (k, n) -> Printf.sprintf {|"%s":%d|} (json_escape k) n)
-        tr.t_counts
+    (if tr.t_trace > 0 then [ ("trace", Json.Int tr.t_trace) ] else [])
+    @ List.map (fun (k, v) -> (k, Json.String v)) tr.t_attrs
+    @ List.map (fun (k, n) -> (k, Json.Int n)) tr.t_counts
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"name":"%s","cat":"cedar","ph":"X","ts":%.1f,"dur":%.1f,"pid":1,"tid":%d,"args":{%s}}|}
-       (json_escape tr.t_name) ts dur tr.t_domain (String.concat "," args));
-  List.iter (emit_events buf ~epoch ~first) tr.t_children
+  let ev =
+    Json.Obj
+      [
+        ("name", Json.String tr.t_name);
+        ("cat", Json.String "cedar");
+        ("ph", Json.String "X");
+        ("ts", Json.Float (us (tr.t_start_s -. epoch)));
+        ("dur", Json.Float (us (Float.max 0.0 (tr.t_stop_s -. tr.t_start_s))));
+        ("pid", Json.Int 1);
+        ("tid", Json.Int tr.t_domain);
+        ("args", Json.Obj args);
+      ]
+  in
+  ev :: List.concat_map (events ~epoch) tr.t_children
 
 let flush t =
   match t.kind with
   | Disabled | Memory -> ()
   | Chrome path ->
-      let forest = roots t in
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{\"traceEvents\":[\n";
-      let first = ref true in
-      List.iter (emit_events buf ~epoch:t.epoch ~first) forest;
-      Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
+      let doc =
+        Json.Obj
+          [
+            ( "traceEvents",
+              Json.List (List.concat_map (events ~epoch:t.epoch) (roots t)) );
+            ("displayTimeUnit", Json.String "ms");
+          ]
+      in
       let oc = open_out path in
-      Buffer.output_buffer oc buf;
+      output_string oc (Json.to_string doc);
+      output_char oc '\n';
       close_out oc

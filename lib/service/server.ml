@@ -1072,27 +1072,46 @@ let stats t =
          m.Restructurer.Memo.st_size)
   in
   with_lock t.stat_mutex (fun () ->
-      Stats.make ~shard_id:t.shard_id ~submitted:t.submitted
-        ~completed:t.completed
-        ~failed:t.failed ~timed_out:t.timed_out ~cancelled:t.cancelled
-        ~retries:t.retries ~rung_full:t.rung_full
-        ~rung_conservative:t.rung_conservative
-        ~rung_passthrough:t.rung_passthrough ~degraded:t.degraded
-        ~respawns:t.respawns ~corrupt_dropped:t.corrupt_dropped
-        ~breaker_opened:t.breaker_opened
-        ~replica_admitted:t.replica_admitted
-        ~replica_rejected:t.replica_rejected
-        ~replicated_hits:t.replicated_hits ~replica_pushed
-        ~replica_skipped_down ~replica_gc:t.replica_gc
-        ~memo_hits ~memo_misses ~memo_entries
-        ~breaker_state:(breaker_state_name t)
-        ~faults_injected:(Fault.total_fired t.fault)
-        ~queue_high_water:(Bounded_queue.high_water t.queue)
-        ~cache:(Cache.stats t.cache)
-        ~latencies_ms:(Reservoir.sample t.latencies)
-        ~latency_count:(Reservoir.count t.latencies)
-        ~max_latency_ms:(Reservoir.max_value t.latencies)
-        ~wall_s:(now () -. t.started_at) ())
+      let cache = Cache.stats t.cache in
+      let latencies = Reservoir.sample t.latencies in
+      let wall_s = now () -. t.started_at in
+      {
+        Stats.shard_id = t.shard_id;
+        submitted = t.submitted;
+        completed = t.completed;
+        failed = t.failed;
+        timed_out = t.timed_out;
+        cancelled = t.cancelled;
+        retries = t.retries;
+        rung_full = t.rung_full;
+        rung_conservative = t.rung_conservative;
+        rung_passthrough = t.rung_passthrough;
+        degraded = t.degraded;
+        respawns = t.respawns;
+        corrupt_dropped = t.corrupt_dropped;
+        breaker_opened = t.breaker_opened;
+        replica_admitted = t.replica_admitted;
+        replica_rejected = t.replica_rejected;
+        replicated_hits = t.replicated_hits;
+        replica_pushed;
+        replica_skipped_down;
+        replica_gc = t.replica_gc;
+        memo_hits;
+        memo_misses;
+        memo_entries;
+        breaker_state = breaker_state_name t;
+        faults_injected = Fault.total_fired t.fault;
+        queue_high_water = Bounded_queue.high_water t.queue;
+        cache;
+        cache_hit_rate = Cache.hit_rate cache;
+        p50_latency_ms = Stats.percentile 50.0 latencies;
+        p95_latency_ms = Stats.percentile 95.0 latencies;
+        max_latency_ms = Reservoir.max_value t.latencies;
+        latency_count = Reservoir.count t.latencies;
+        wall_s;
+        throughput =
+          (if wall_s > 0.0 then float_of_int t.completed /. wall_s else 0.0);
+      })
 
 (* Deterministic drain, reused verbatim by the SIGINT/SIGTERM path of
    [cedard --serve]:

@@ -48,137 +48,12 @@ let percentile p xs =
       in
       a.(max 0 (min (n - 1) (rank - 1)))
 
-let make ?(shard_id = "") ?(replica_admitted = 0) ?(replica_rejected = 0)
-    ?(replicated_hits = 0) ?(replica_pushed = 0) ?(replica_skipped_down = 0)
-    ?(replica_gc = 0) ?(memo_hits = 0) ?(memo_misses = 0) ?(memo_entries = 0)
-    ~submitted ~completed ~failed ~timed_out
-    ~cancelled ~retries
-    ~rung_full ~rung_conservative ~rung_passthrough ~degraded ~respawns
-    ~corrupt_dropped ~breaker_opened ~breaker_state ~faults_injected
-    ~queue_high_water ~cache ~latencies_ms ~latency_count ~max_latency_ms
-    ~wall_s () =
-  {
-    shard_id;
-    submitted;
-    completed;
-    failed;
-    timed_out;
-    cancelled;
-    retries;
-    rung_full;
-    rung_conservative;
-    rung_passthrough;
-    degraded;
-    respawns;
-    corrupt_dropped;
-    breaker_opened;
-    replica_admitted;
-    replica_rejected;
-    replicated_hits;
-    replica_pushed;
-    replica_skipped_down;
-    replica_gc;
-    memo_hits;
-    memo_misses;
-    memo_entries;
-    breaker_state;
-    faults_injected;
-    queue_high_water;
-    cache;
-    cache_hit_rate = Cache.hit_rate cache;
-    p50_latency_ms = percentile 50.0 latencies_ms;
-    p95_latency_ms = percentile 95.0 latencies_ms;
-    max_latency_ms;
-    latency_count;
-    wall_s;
-    throughput =
-      (if wall_s > 0.0 then float_of_int completed /. wall_s else 0.0);
-  }
-
-let to_string s =
-  let lines =
-    [
-      Printf.sprintf "jobs        submitted %d  completed %d  failed %d  timeout %d  cancelled %d"
-        s.submitted s.completed s.failed s.timed_out s.cancelled;
-      Printf.sprintf "rungs       full %d  conservative %d  passthrough %d  (retries %d)"
-        s.rung_full s.rung_conservative s.rung_passthrough s.retries;
-      Printf.sprintf "queue       high-water depth %d" s.queue_high_water;
-      Printf.sprintf "cache       %d hits  %d misses  %d evictions  %d resident  (hit rate %.1f%%)"
-        s.cache.Cache.hits s.cache.Cache.misses s.cache.Cache.evictions
-        s.cache.Cache.entries (100.0 *. s.cache_hit_rate);
-      Printf.sprintf "memo        %d hits  %d misses  %d resident nests"
-        s.memo_hits s.memo_misses s.memo_entries;
-      Printf.sprintf "latency     p50 %.2f ms  p95 %.2f ms  max %.2f ms  (%d samples)"
-        s.p50_latency_ms s.p95_latency_ms s.max_latency_ms s.latency_count;
-      Printf.sprintf "throughput  %.1f jobs/s over %.2f s" s.throughput s.wall_s;
-    ]
-  in
-  (* cluster lines only appear on clustered shards *)
-  let cluster =
-    (if s.shard_id <> "" then
-       [ Printf.sprintf "shard       %s" s.shard_id ]
-     else [])
-    @
-    if
-      s.replica_admitted > 0 || s.replica_rejected > 0
-      || s.replicated_hits > 0 || s.replica_pushed > 0
-      || s.replica_skipped_down > 0 || s.replica_gc > 0
-    then
-      [
-        Printf.sprintf
-          "replication pushed %d  skipped-down %d  admitted %d  rejected %d  \
-           hits-from-replica %d  gc-dropped %d"
-          s.replica_pushed s.replica_skipped_down s.replica_admitted
-          s.replica_rejected s.replicated_hits s.replica_gc;
-      ]
-    else []
-  in
-  (* the survival line only appears when something needed surviving *)
-  let survival =
-    if
-      s.respawns > 0 || s.degraded > 0 || s.corrupt_dropped > 0
-      || s.breaker_opened > 0 || s.faults_injected > 0
-      || s.breaker_state <> "closed"
-    then
-      [
-        Printf.sprintf
-          "survival    respawns %d  degraded %d  corrupt-dropped %d  breaker opened %d (now %s)  faults injected %d"
-          s.respawns s.degraded s.corrupt_dropped s.breaker_opened
-          s.breaker_state s.faults_injected;
-      ]
-    else []
-  in
-  String.concat "\n" (lines @ cluster @ survival)
-
-(* hand-rolled JSON: the only strings that ride in are shard ids and
-   breaker states, but escape them anyway so the emitter is total *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json s =
-  let i name v = Printf.sprintf "\"%s\":%d" name v in
-  let f name v =
-    (* %.17g would be exact but noisy; 6 significant digits is plenty
-       for rates and millisecond latencies *)
-    Printf.sprintf "\"%s\":%.6g" name v
-  in
-  let str name v = Printf.sprintf "\"%s\":\"%s\"" name (json_escape v) in
-  let fields =
+  let module J = Obs.Json in
+  let i name v = (name, J.Int v) and f name v = (name, J.Float v) in
+  J.Obj
     [
-      str "shard_id" s.shard_id;
+      ("shard_id", J.String s.shard_id);
       i "submitted" s.submitted;
       i "completed" s.completed;
       i "failed" s.failed;
@@ -201,7 +76,7 @@ let to_json s =
       i "memo_hits" s.memo_hits;
       i "memo_misses" s.memo_misses;
       i "memo_entries" s.memo_entries;
-      str "breaker_state" s.breaker_state;
+      ("breaker_state", J.String s.breaker_state);
       i "faults_injected" s.faults_injected;
       i "queue_high_water" s.queue_high_water;
       i "cache_hits" s.cache.Cache.hits;
@@ -216,5 +91,65 @@ let to_json s =
       f "wall_s" s.wall_s;
       f "throughput" s.throughput;
     ]
+
+let render json =
+  let module J = Obs.Json in
+  let i k = J.to_int (J.member k json) in
+  let f k = J.to_float (J.member k json) in
+  let str k = J.to_str (J.member k json) in
+  let lines =
+    [
+      Printf.sprintf "jobs        submitted %d  completed %d  failed %d  timeout %d  cancelled %d"
+        (i "submitted") (i "completed") (i "failed") (i "timed_out") (i "cancelled");
+      Printf.sprintf "rungs       full %d  conservative %d  passthrough %d  (retries %d)"
+        (i "rung_full") (i "rung_conservative") (i "rung_passthrough") (i "retries");
+      Printf.sprintf "queue       high-water depth %d" (i "queue_high_water");
+      Printf.sprintf "cache       %d hits  %d misses  %d evictions  %d resident  (hit rate %.1f%%)"
+        (i "cache_hits") (i "cache_misses") (i "cache_evictions")
+        (i "cache_entries") (100.0 *. f "cache_hit_rate");
+      Printf.sprintf "memo        %d hits  %d misses  %d resident nests"
+        (i "memo_hits") (i "memo_misses") (i "memo_entries");
+      Printf.sprintf "latency     p50 %.2f ms  p95 %.2f ms  max %.2f ms  (%d samples)"
+        (f "p50_latency_ms") (f "p95_latency_ms") (f "max_latency_ms")
+        (i "latency_count");
+      Printf.sprintf "throughput  %.1f jobs/s over %.2f s" (f "throughput") (f "wall_s");
+    ]
   in
-  "{" ^ String.concat "," fields ^ "}"
+  (* cluster lines only appear on clustered shards *)
+  let cluster =
+    (if str "shard_id" <> "" then
+       [ Printf.sprintf "shard       %s" (str "shard_id") ]
+     else [])
+    @
+    if
+      i "replica_admitted" > 0 || i "replica_rejected" > 0
+      || i "replicated_hits" > 0 || i "replica_pushed" > 0
+      || i "replica_skipped_down" > 0 || i "replica_gc" > 0
+    then
+      [
+        Printf.sprintf
+          "replication pushed %d  skipped-down %d  admitted %d  rejected %d  \
+           hits-from-replica %d  gc-dropped %d"
+          (i "replica_pushed") (i "replica_skipped_down") (i "replica_admitted")
+          (i "replica_rejected") (i "replicated_hits") (i "replica_gc");
+      ]
+    else []
+  in
+  (* the survival line only appears when something needed surviving *)
+  let survival =
+    if
+      i "respawns" > 0 || i "degraded" > 0 || i "corrupt_dropped" > 0
+      || i "breaker_opened" > 0 || i "faults_injected" > 0
+      || str "breaker_state" <> "closed"
+    then
+      [
+        Printf.sprintf
+          "survival    respawns %d  degraded %d  corrupt-dropped %d  breaker opened %d (now %s)  faults injected %d"
+          (i "respawns") (i "degraded") (i "corrupt_dropped")
+          (i "breaker_opened") (str "breaker_state") (i "faults_injected");
+      ]
+    else []
+  in
+  String.concat "\n" (lines @ cluster @ survival)
+
+let to_string s = render (to_json s)

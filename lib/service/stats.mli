@@ -1,4 +1,5 @@
-(** Service-lifetime statistics, assembled at shutdown. *)
+(** Service-lifetime statistics: the snapshot {!Server.stats} takes,
+    its JSON form, and the text rendered from that JSON. *)
 
 type t = {
   shard_id : string;  (** cluster shard identity; [""] outside a cluster *)
@@ -45,52 +46,15 @@ val percentile : float -> float list -> float
 (** [percentile p xs]: the [p]-th percentile ([0..100]) of [xs] by
     nearest-rank; 0 on the empty list. *)
 
-val make :
-  ?shard_id:string ->
-  ?replica_admitted:int ->
-  ?replica_rejected:int ->
-  ?replicated_hits:int ->
-  ?replica_pushed:int ->
-  ?replica_skipped_down:int ->
-  ?replica_gc:int ->
-  ?memo_hits:int ->
-  ?memo_misses:int ->
-  ?memo_entries:int ->
-  submitted:int ->
-  completed:int ->
-  failed:int ->
-  timed_out:int ->
-  cancelled:int ->
-  retries:int ->
-  rung_full:int ->
-  rung_conservative:int ->
-  rung_passthrough:int ->
-  degraded:int ->
-  respawns:int ->
-  corrupt_dropped:int ->
-  breaker_opened:int ->
-  breaker_state:string ->
-  faults_injected:int ->
-  queue_high_water:int ->
-  cache:Cache.stats ->
-  latencies_ms:float list ->
-  latency_count:int ->
-  max_latency_ms:float ->
-  wall_s:float ->
-  unit ->
-  t
-(** [latencies_ms] is a (possibly sampled) list used for the
-    percentiles; [latency_count] and [max_latency_ms] are the exact
-    values tracked alongside the sample.  The optional cluster fields
-    default to a standalone, non-replicating shard. *)
+val to_json : t -> Obs.Json.t
+(** The snapshot as one flat JSON object: the stats view served over
+    the wire and aggregated by the proxy. *)
 
-val to_string : t -> string
-(** Multi-line human-readable summary, printed on shutdown.  A
+val render : Obs.Json.t -> string
+(** Multi-line human-readable summary of a {!to_json} object.  A
     "survival" line is appended only when faults were injected or any
     self-healing machinery engaged; shard/replication lines only when
     clustered. *)
 
-val to_json : t -> string
-(** The same snapshot as one flat JSON object, for [cedarctl --json]
-    and the proxy's cluster-wide aggregation.  Self-contained emitter
-    (no JSON library); strings are escaped. *)
+val to_string : t -> string
+(** [render (to_json s)], printed on shutdown. *)

@@ -381,8 +381,6 @@ let test_wire_v2_roundtrip () =
       (5, W.Stats_json "{\"submitted\":3}");
       (6, W.Metrics_json_req);
       (7, W.Metrics_json "{}");
-      (8, W.Members_req);
-      (9, W.Members_text "{\"shards\":[]}");
       (10, W.Cluster_add
              { W.ca_id = "s3"; ca_host = "127.0.0.1"; ca_port = 7513 });
       (11, W.Cluster_remove "s3");
@@ -394,39 +392,61 @@ let test_wire_v2_roundtrip () =
       (15, W.Members_json "{\"epoch\":1,\"shards\":[]}");
     ]
 
-let test_wire_version_stamps () =
-  (* v2 kinds are stamped 2; the legacy surface keeps stamping 1, so a
-     mixed-version fleet interoperates on everything but the new kinds *)
-  let byte4 msg = Char.code (W.encode ~id:1 msg).[4] in
-  Alcotest.(check int) "Cache_push is v2" 2 (byte4 (W.Cache_push sample_push));
-  Alcotest.(check int) "Stats_json_req is v2" 2 (byte4 W.Stats_json_req);
-  Alcotest.(check int) "Cluster_add is v3" 3
-    (byte4
-       (W.Cluster_add { W.ca_id = "x"; ca_host = "h"; ca_port = 1 }));
-  Alcotest.(check int) "Members_json_req is v3" 3 (byte4 W.Members_json_req);
-  Alcotest.(check int) "Ping still v1" 1 (byte4 W.Ping);
-  Alcotest.(check int) "Submit still v1" 1
-    (byte4
-       (W.Submit
-          { W.sub_name = "x"; sub_source = "      END\n"; sub_options = opts;
-            sub_trace = 0 }));
-  (* a v2 decoder accepts both versions... *)
-  let ping_v2 = Bytes.of_string (W.encode ~id:1 W.Ping) in
-  Bytes.set ping_v2 4 '\002';
-  (match W.decode (Bytes.to_string ping_v2) with
-  | Ok (1, W.Ping) -> ()
-  | _ -> Alcotest.fail "v2 stamp on a legacy kind must decode");
-  (* ...and a v1 decoder sees exactly Bad_version 2 on a v2 frame —
-     the typed rejection the protocol bump promises old nodes *)
-  let push = W.encode ~id:1 (W.Cache_push sample_push) in
-  Alcotest.(check int) "old min would see version 2" 2
-    (Char.code push.[4]);
-  Alcotest.(check bool) "future version still rejected typed" true
-    (let bad = Bytes.of_string push in
-     Bytes.set bad 4 '\009';
-     match W.decode (Bytes.to_string bad) with
-     | Error (W.Bad_version 9) -> true
-     | _ -> false)
+(* one sample of every message kind, with its code *)
+let every_kind =
+  [
+    (1, W.Ping);
+    (2, W.Pong);
+    ( 3,
+      W.Submit
+        { W.sub_name = "x"; sub_source = "      END\n"; sub_options = opts;
+          sub_trace = 0 } );
+    (4, W.Result W.R_timeout);
+    (9, W.Shutdown_req);
+    (10, W.Shutdown_ack);
+    (11, W.Cache_push sample_push);
+    (12, W.Cache_ack true);
+    (13, W.Stats_json_req);
+    (14, W.Stats_json "{}");
+    (15, W.Metrics_json_req);
+    (16, W.Metrics_json "{}");
+    (19, W.Cluster_add { W.ca_id = "x"; ca_host = "h"; ca_port = 1 });
+    (20, W.Cluster_remove "x");
+    (21, W.Cluster_ack { W.ack_ok = true; ack_epoch = 2; ack_msg = "" });
+    (22, W.Members_json_req);
+    (23, W.Members_json "{}");
+  ]
+
+let test_wire_one_version () =
+  (* every kind is stamped the one version and keeps its code *)
+  List.iter
+    (fun (code, msg) ->
+      let frame = W.encode ~id:1 msg in
+      let name = W.message_kind_name msg in
+      Alcotest.(check int) (name ^ " stamped the version") W.version
+        (Char.code frame.[4]);
+      Alcotest.(check int) (name ^ " keeps its kind code") code
+        (Char.code frame.[5]))
+    every_kind;
+  (* any other version byte is refused in the header, typed *)
+  let ping = W.encode ~id:1 W.Ping in
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string ping in
+      Bytes.set b 4 (Char.chr v);
+      match W.decode (Bytes.to_string b) with
+      | Error (W.Bad_version v') when v' = v -> ()
+      | _ -> Alcotest.failf "version %d: expected Bad_version" v)
+    [ 0; 1; 2; 3; 4; W.version + 1; 255 ];
+  (* the retired codes (text twins, the v4 submit) are unknown kinds *)
+  List.iter
+    (fun k ->
+      let b = Bytes.of_string ping in
+      Bytes.set b 5 (Char.chr k);
+      match W.decode (Bytes.to_string b) with
+      | Error (W.Bad_kind k') when k' = k -> ()
+      | _ -> Alcotest.failf "kind %d: expected Bad_kind" k)
+    [ 5; 6; 7; 8; 17; 18; 24 ]
 
 (* ------------------------------------------------------------------ *)
 (* Membership health                                                   *)
@@ -493,7 +513,7 @@ let test_membership_transitions () =
   Alcotest.(check (list string))
     "all down falls back to the full static ring" [ "dead"; "live" ]
     (Ring.members (Cluster.Membership.ring m));
-  let json = Cluster.Membership.members_json m in
+  let json = Obs.Json.to_string (Cluster.Membership.members_json m) in
   Alcotest.(check bool) "members json carries states" true
     (let has needle =
        let n = String.length needle and l = String.length json in
@@ -620,7 +640,9 @@ let test_membership_flapping_probe_loss () =
   Cluster.Membership.note_success lossy "l2";
   monotone "second resurrection";
   Alcotest.(check bool) "members json reports the epoch" true
-    (contains (Cluster.Membership.members_json lossy) "\"epoch\"");
+    (contains
+       (Obs.Json.to_string (Cluster.Membership.members_json lossy))
+       "\"epoch\"");
   (* control: same servers, no injected loss *)
   for _ = 1 to 3 do
     Cluster.Membership.probe_once clean
@@ -953,7 +975,7 @@ let test_proxy_e2e_corpus_byte_identical () =
          in
          has "\"proxy\"" && has "\"s0\"" && has "\"s1\"" && has "\"s2\"")
   | Error e -> Alcotest.failf "stats_json via proxy: %s" e);
-  match Net.Client.members client with
+  match Net.Client.members_json client with
   | Ok json ->
       Alcotest.(check bool) "membership served" true
         (String.length json > 0 && json.[0] = '{')
@@ -1145,6 +1167,65 @@ let test_proxy_cluster_add_remove () =
     (Cluster.Proxy.topology_changes_total proxy);
   Alcotest.(check int) "no stale routes" 0
     (Cluster.Proxy.stale_routes_total proxy)
+
+let test_proxy_json_views () =
+  (* a shard id that could break a JSON view or a metric name is refused
+     at the door; with one shard down, the aggregated stats and the
+     members view still parse, the dead shard's stats as null *)
+  with_cluster ~n:2 @@ fun proxy handles ->
+  with_proxy_client proxy @@ fun client ->
+  (match
+     Net.Client.cluster_add client
+       { W.ca_id = "a\"b"; ca_host = "127.0.0.1"; ca_port = 7000 }
+   with
+  | Ok ack ->
+      Alcotest.(check bool) "quoted id refused" false ack.W.ack_ok;
+      Alcotest.(check int) "refusal keeps the epoch" 1 ack.W.ack_epoch
+  | Error e -> Alcotest.failf "cluster_add: %s" e);
+  Alcotest.(check int) "ring epoch unchanged" 1 (Cluster.Proxy.epoch proxy);
+  let down = List.nth handles 1 in
+  Net.Server.drain down.h_net;
+  let members = Cluster.Proxy.membership proxy in
+  Cluster.Membership.note_failure members down.h_id;
+  Cluster.Membership.note_failure members down.h_id;
+  let parse what = function
+    | Ok body -> (
+        try Test_obs.parse_json body
+        with Test_obs.Bad_json m -> Alcotest.failf "%s is not JSON: %s" what m)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let field = Test_obs.obj_field in
+  let stats = parse "aggregated stats" (Net.Client.stats_json client) in
+  Alcotest.(check (list string)) "aggregate keys" [ "proxy"; "shards" ]
+    (Test_obs.keys stats);
+  let proxy_obj = Option.get (field "proxy" stats) in
+  Alcotest.(check (list string)) "proxy keys"
+    [ "routed"; "failovers"; "shed"; "members" ]
+    (Test_obs.keys proxy_obj);
+  Alcotest.(check (list string)) "plain members view inside"
+    [ "epoch"; "vnodes"; "shards" ]
+    (Test_obs.keys (Option.get (field "members" proxy_obj)));
+  let shards = Option.get (field "shards" stats) in
+  Alcotest.(check bool) "down shard is null" true
+    (field down.h_id shards = Some Test_obs.J_null);
+  Alcotest.(check bool) "live shard has its stats" true
+    (match field "s0" shards with
+    | Some (Test_obs.J_obj _ as s0) -> field "shard_id" s0 = Some (Test_obs.J_str "s0")
+    | _ -> false);
+  let view = parse "members view" (Net.Client.members_json client) in
+  Alcotest.(check (list string)) "members keys"
+    [ "epoch"; "vnodes"; "proxy"; "shards" ]
+    (Test_obs.keys view);
+  match field "shards" view with
+  | Some (Test_obs.J_arr [ live; dead ]) ->
+      Alcotest.(check (list string)) "live shard keys"
+        [ "id"; "host"; "port"; "state"; "fails"; "pool_idle";
+          "replica_admitted"; "replica_rejected"; "replicated_hits";
+          "replica_pushed"; "replica_skipped_down" ]
+        (Test_obs.keys live);
+      Alcotest.(check bool) "dead shard is down" true
+        (field "state" dead = Some (Test_obs.J_str "down"))
+  | _ -> Alcotest.fail "expected the two members"
 
 let test_proxy_churn_no_stale_routes () =
   (* the epoch-barrier invariant under fire: continuous submits while a
@@ -1527,8 +1608,8 @@ let tests =
       `Quick test_backoff_jitter;
     Alcotest.test_case "wire: v2 cluster frames roundtrip" `Quick
       test_wire_v2_roundtrip;
-    Alcotest.test_case "wire: per-kind version stamps interoperate" `Quick
-      test_wire_version_stamps;
+    Alcotest.test_case "wire: one version, retired kinds refused" `Quick
+      test_wire_one_version;
     Alcotest.test_case "membership: probe and data-path transitions" `Quick
       test_membership_transitions;
     Alcotest.test_case "membership: ring epoch moves iff ownership can"
@@ -1553,6 +1634,8 @@ let tests =
       test_proxy_kill_shard_failover;
     Alcotest.test_case "proxy: cluster add/remove over the wire" `Slow
       test_proxy_cluster_add_remove;
+    Alcotest.test_case "proxy: bad shard id refused, views parse" `Slow
+      test_proxy_json_views;
     Alcotest.test_case "proxy: topology churn leaves no stale route" `Slow
       test_proxy_churn_no_stale_routes;
     Alcotest.test_case "proxy: off-owner warm hit is read-repaired" `Slow

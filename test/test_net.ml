@@ -147,10 +147,10 @@ let gen_message =
       (1, return W.Pong);
       (4, gen_submit);
       (4, map (fun r -> W.Result r) gen_reply);
-      (1, return W.Stats_req);
-      (1, map (fun s -> W.Stats_text s) gen_string);
-      (1, return W.Metrics_req);
-      (1, map (fun s -> W.Metrics_text s) gen_string);
+      (1, return W.Stats_json_req);
+      (1, map (fun s -> W.Stats_json s) gen_string);
+      (1, return W.Metrics_json_req);
+      (1, map (fun s -> W.Metrics_json s) gen_string);
       (1, return W.Shutdown_req);
       (1, return W.Shutdown_ack);
     ]
@@ -309,10 +309,9 @@ let test_decoder_adversarial () =
     | Ok _ -> Alcotest.fail "trailing bytes: decoded successfully")
     (W.decode (ping ^ "x"))
 
-let test_submit_target_bytes () =
-  (* Cedar submits must stay byte-compatible with v1 peers: same kind,
-     same version, no trailing target byte.  OpenMP submits ride the v4
-     frame (kind 24) that a v<=3 decoder rejects with Bad_version. *)
+let test_submit_targets_share_kind () =
+  (* one Submit encoding: every target rides kind 3 at the one protocol
+     version, and the payload always ends with the target byte *)
   let mk target =
     W.Submit
       {
@@ -326,27 +325,24 @@ let test_submit_target_bytes () =
   in
   let ced = W.encode ~id:7 (mk Codegen.Target.Cedar) in
   let omp = W.encode ~id:7 (mk Codegen.Target.Openmp) in
-  Alcotest.(check int) "cedar submit is version 1" 1 (Char.code ced.[4]);
-  Alcotest.(check int) "cedar submit is kind 3" 3 (Char.code ced.[5]);
-  Alcotest.(check int) "openmp submit is version 4" 4 (Char.code omp.[4]);
-  Alcotest.(check int) "openmp submit is kind 24" 24 (Char.code omp.[5]);
-  Alcotest.(check int) "version_for_kind pins 24 to v4" 4
-    (W.version_for_kind 24);
-  (* the v4 payload is the v1 payload plus exactly one target byte *)
-  Alcotest.(check int) "one trailing target byte"
-    (String.length ced + 1) (String.length omp);
-  (match W.decode omp with
-  | Ok (7, W.Submit s) ->
-      Alcotest.(check bool) "target survives the roundtrip" true
-        (s.W.sub_options.Restructurer.Options.target = Codegen.Target.Openmp)
-  | Ok _ -> Alcotest.fail "openmp submit decoded to the wrong frame"
-  | Error e -> Alcotest.failf "openmp submit: %s" (W.error_to_string e));
-  (match W.decode ced with
-  | Ok (7, W.Submit s) ->
-      Alcotest.(check bool) "cedar default decodes from the v1 frame" true
-        (s.W.sub_options.Restructurer.Options.target = Codegen.Target.Cedar)
-  | Ok _ -> Alcotest.fail "cedar submit decoded to the wrong frame"
-  | Error e -> Alcotest.failf "cedar submit: %s" (W.error_to_string e));
+  List.iter
+    (fun (name, frame, target) ->
+      Alcotest.(check int) (name ^ " submit stamped the version") W.version
+        (Char.code frame.[4]);
+      Alcotest.(check int) (name ^ " submit is kind 3") 3 (Char.code frame.[5]);
+      Alcotest.(check int) (name ^ " payload ends with the target byte")
+        (Codegen.Target.code target)
+        (Char.code frame.[String.length frame - 1]);
+      match W.decode frame with
+      | Ok (7, W.Submit s) ->
+          Alcotest.(check string) (name ^ " target survives the roundtrip")
+            (Codegen.Target.to_string target)
+            (Codegen.Target.to_string s.W.sub_options.Restructurer.Options.target)
+      | Ok _ -> Alcotest.failf "%s submit decoded to the wrong frame" name
+      | Error e -> Alcotest.failf "%s submit: %s" name (W.error_to_string e))
+    [ ("cedar", ced, Codegen.Target.Cedar); ("openmp", omp, Codegen.Target.Openmp) ];
+  Alcotest.(check int) "the encodings differ only in the target byte"
+    (String.length ced) (String.length omp);
   (* an unknown target byte is a typed decode error, not a crash *)
   let bad = Bytes.of_string omp in
   Bytes.set bad (Bytes.length bad - 1) (Char.chr 9);
@@ -354,14 +350,13 @@ let test_submit_target_bytes () =
   | Error (W.Malformed _) -> ()
   | Ok _ -> Alcotest.fail "target byte 9 decoded"
   | Error e -> Alcotest.failf "target byte 9: %s" (W.error_to_string e));
-  (* what an old peer sees: its decoder caps at its own version, so the
-     frame dies in the header with Bad_version before payload parsing —
-     the same path our decoder takes for versions above 4 *)
-  let future = Bytes.of_string omp in
-  Bytes.set future 4 (Char.chr 5);
-  match W.decode (Bytes.to_string future) with
-  | Error (W.Bad_version 5) -> ()
-  | _ -> Alcotest.fail "version 5: expected Bad_version 5"
+  (* a Submit payload without its target byte is short, not a default *)
+  let short = Bytes.of_string (String.sub ced 0 (String.length ced - 1)) in
+  Bytes.set_int32_be short 16
+    (Int32.of_int (Bytes.length short - W.header_bytes));
+  match W.decode (Bytes.to_string short) with
+  | Error W.Truncated -> ()
+  | _ -> Alcotest.fail "a Submit missing its target byte must not decode"
 
 let test_roundtrip_huge_payload () =
   (* multi-MB frame regression: a 3 MiB source survives the codec *)
@@ -870,12 +865,12 @@ let test_stream_decoder () =
     (W.Stream.midframe st);
   (* two pipelined frames in one feed come out in order *)
   let st = W.Stream.create () in
-  feed_str st (W.encode ~id:1 W.Ping ^ W.encode ~id:2 W.Stats_req);
+  feed_str st (W.encode ~id:1 W.Ping ^ W.encode ~id:2 W.Stats_json_req);
   (match W.Stream.next st with
   | `Frame (1, W.Ping) -> ()
   | _ -> Alcotest.fail "first pipelined frame");
   (match W.Stream.next st with
-  | `Frame (2, W.Stats_req) -> ()
+  | `Frame (2, W.Stats_json_req) -> ()
   | _ -> Alcotest.fail "second pipelined frame");
   (* an over-cap payload drains in constant memory and resynchronizes *)
   let st = W.Stream.create ~max_payload:64 () in
@@ -1184,8 +1179,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_stream_corruption_total;
     Alcotest.test_case "decoder: adversarial inputs fail typed" `Quick
       test_decoder_adversarial;
-    Alcotest.test_case "codec: submit target byte (v4) and v1 compat"
-      `Quick test_submit_target_bytes;
+    Alcotest.test_case "codec: cedar and openmp submits share kind 3" `Quick
+      test_submit_targets_share_kind;
     Alcotest.test_case "codec: multi-MB payload roundtrip" `Quick
       test_roundtrip_huge_payload;
     Alcotest.test_case "codec: empty options roundtrip" `Quick

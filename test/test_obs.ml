@@ -567,7 +567,7 @@ let test_metrics_json_roundtrip () =
   M.set_gauge (M.gauge r "queue_depth") 2.0;
   M.observe (M.histogram ~buckets:[ 1.0 ] r "seconds") 0.5;
   let j =
-    try parse_json (M.to_json r)
+    try parse_json (Obs.Json.to_string (M.to_json r))
     with Bad_json m -> Alcotest.failf "to_json output invalid: %s" m
   in
   (match obj_field "jobs_total" j with
@@ -591,6 +591,265 @@ let test_metrics_json_roundtrip () =
             && obj_field "n" b = Some (J_num 1.0))
       | _ -> Alcotest.fail "expected one bucket")
   | None -> Alcotest.fail "missing histogram entry"
+
+let keys = function J_obj fields -> List.map fst fields | _ -> []
+
+let parse_ok what text =
+  try parse_json text
+  with Bad_json m -> Alcotest.failf "%s is not JSON: %s" what m
+
+let test_metrics_json_help_last () =
+  (* help text rides the JSON as the last field of every entry, escaped *)
+  let r = M.create () in
+  M.incr (M.counter ~help:"jobs \"done\" \\ total" r "jobs_total");
+  M.set_gauge (M.gauge r "depth") 0.5;
+  M.observe (M.histogram ~help:"x\ny" ~buckets:[ 1.0 ] r "seconds") 0.5;
+  let j = parse_ok "metrics JSON" (Obs.Json.to_string (M.to_json r)) in
+  let entry name =
+    match obj_field name j with
+    | Some e -> e
+    | None -> Alcotest.failf "missing %s" name
+  in
+  Alcotest.(check (list string)) "entries sorted by name"
+    [ "depth"; "jobs_total"; "seconds" ] (keys j);
+  Alcotest.(check (list string)) "counter keys" [ "type"; "value"; "help" ]
+    (keys (entry "jobs_total"));
+  Alcotest.(check (list string)) "gauge keys" [ "type"; "value"; "help" ]
+    (keys (entry "depth"));
+  Alcotest.(check (list string)) "histogram keys"
+    [ "type"; "count"; "sum"; "buckets"; "help" ]
+    (keys (entry "seconds"));
+  Alcotest.(check bool) "quoted help survives" true
+    (obj_field "help" (entry "jobs_total")
+    = Some (J_str "jobs \"done\" \\ total"));
+  Alcotest.(check bool) "empty help is still a field" true
+    (obj_field "help" (entry "depth") = Some (J_str ""))
+
+(* records touching every line of the text view; the golden strings pin
+   that view byte for byte *)
+let stats_full, stats_plain =
+  (* the derived fields as [Service.Server.stats] computes them *)
+  let snapshot (s : Service.Stats.t) latencies =
+    {
+      s with
+      cache_hit_rate = Service.Cache.hit_rate s.cache;
+      p50_latency_ms = Service.Stats.percentile 50.0 latencies;
+      p95_latency_ms = Service.Stats.percentile 95.0 latencies;
+      throughput = float_of_int s.completed /. s.wall_s;
+    }
+  in
+  let full =
+    {
+      Service.Stats.shard_id = "s\"1\\x\n\001";
+      submitted = 120; completed = 110; failed = 4; timed_out = 3;
+      cancelled = 3; retries = 7; rung_full = 100; rung_conservative = 8;
+      rung_passthrough = 2; degraded = 1; respawns = 2; corrupt_dropped = 1;
+      breaker_opened = 1; replica_admitted = 3; replica_rejected = 1;
+      replicated_hits = 2; replica_pushed = 5; replica_skipped_down = 1;
+      replica_gc = 4; memo_hits = 17; memo_misses = 6; memo_entries = 9;
+      breaker_state = "half-open"; faults_injected = 12; queue_high_water = 9;
+      cache = { Service.Cache.hits = 40; misses = 80; evictions = 5; entries = 75 };
+      cache_hit_rate = 0.0; p50_latency_ms = 0.0; p95_latency_ms = 0.0;
+      max_latency_ms = 12.125; latency_count = 6; wall_s = 3.7; throughput = 0.0;
+    }
+  in
+  let plain =
+    {
+      full with
+      shard_id = ""; submitted = 3; completed = 3; failed = 0; timed_out = 0;
+      cancelled = 0; retries = 0; rung_full = 3; rung_conservative = 0;
+      rung_passthrough = 0; degraded = 0; respawns = 0; corrupt_dropped = 0;
+      breaker_opened = 0; replica_admitted = 0; replica_rejected = 0;
+      replicated_hits = 0; replica_pushed = 0; replica_skipped_down = 0;
+      replica_gc = 0; memo_hits = 0; memo_misses = 0; memo_entries = 0;
+      breaker_state = "closed"; faults_injected = 0; queue_high_water = 1;
+      cache = { Service.Cache.hits = 1; misses = 2; evictions = 0; entries = 2 };
+      max_latency_ms = 0.5; latency_count = 2; wall_s = 0.1;
+    }
+  in
+  ( snapshot full [ 1.25; 3.5; 0.75; 12.125; 7.0; 2.2 ],
+    snapshot plain [ 0.5; 1.0 /. 3.0 ] )
+
+let golden_stats_full =
+  "jobs        submitted 120  completed 110  failed 4  timeout 3  cancelled 3\nrungs       full 100  conservative 8  passthrough 2  (retries 7)\nqueue       high-water depth 9\ncache       40 hits  80 misses  5 evictions  75 resident  (hit rate 33.3%)\nmemo        17 hits  6 misses  9 resident nests\nlatency     p50 2.20 ms  p95 12.12 ms  max 12.12 ms  (6 samples)\nthroughput  29.7 jobs/s over 3.70 s\nshard       s\"1\\x\n\001\nreplication pushed 5  skipped-down 1  admitted 3  rejected 1  hits-from-replica 2  gc-dropped 4\nsurvival    respawns 2  degraded 1  corrupt-dropped 1  breaker opened 1 (now half-open)  faults injected 12"
+
+let golden_stats_plain =
+  "jobs        submitted 3  completed 3  failed 0  timeout 0  cancelled 0\nrungs       full 3  conservative 0  passthrough 0  (retries 0)\nqueue       high-water depth 1\ncache       1 hits  2 misses  0 evictions  2 resident  (hit rate 33.3%)\nmemo        0 hits  0 misses  0 resident nests\nlatency     p50 0.33 ms  p95 0.50 ms  max 0.50 ms  (2 samples)\nthroughput  30.0 jobs/s over 0.10 s"
+
+let stats_keys =
+  [
+    "shard_id"; "submitted"; "completed"; "failed"; "timed_out"; "cancelled";
+    "retries"; "rung_full"; "rung_conservative"; "rung_passthrough";
+    "degraded"; "respawns"; "corrupt_dropped"; "breaker_opened";
+    "replica_admitted"; "replica_rejected"; "replicated_hits";
+    "replica_pushed"; "replica_skipped_down"; "replica_gc"; "memo_hits";
+    "memo_misses"; "memo_entries"; "breaker_state"; "faults_injected";
+    "queue_high_water"; "cache_hits"; "cache_misses"; "cache_evictions";
+    "cache_entries"; "cache_hit_rate"; "p50_latency_ms"; "p95_latency_ms";
+    "max_latency_ms"; "latency_count"; "wall_s"; "throughput";
+  ]
+
+let test_stats_views () =
+  let module S = Service.Stats in
+  Alcotest.(check string) "full text matches the captured golden"
+    golden_stats_full (S.to_string stats_full);
+  Alcotest.(check string) "plain text matches the captured golden"
+    golden_stats_plain (S.to_string stats_plain);
+  (* the text a client renders from the wire JSON is the server's own *)
+  List.iter
+    (fun s ->
+      match Obs.Json.parse (Obs.Json.to_string (S.to_json s)) with
+      | Ok v ->
+          Alcotest.(check string) "render over the wire = to_string"
+            (S.to_string s) (S.render v)
+      | Error m -> Alcotest.failf "stats JSON reparse: %s" m)
+    [ stats_full; stats_plain ];
+  (* a shard id with a quote, a backslash, a newline and a control byte
+     still yields JSON an independent reader accepts *)
+  let j = parse_ok "stats JSON" (Obs.Json.to_string (S.to_json stats_full)) in
+  Alcotest.(check (list string)) "keys and order unchanged" stats_keys (keys j);
+  Alcotest.(check bool) "shard id escaped" true
+    (obj_field "shard_id" j = Some (J_str "s\"1\\x\n?"))
+
+let golden_metrics =
+  "# TYPE bare_total counter\nbare_total 0\n# HELP depth queue depth\n# TYPE depth gauge\ndepth 3\n# HELP jobs_total jobs \"done\"\n# TYPE jobs_total counter\njobs_total 42\n# HELP phase_seconds phase seconds\n# TYPE phase_seconds histogram\nphase_seconds_bucket{le=\"0.001\"} 1\nphase_seconds_bucket{le=\"0.5\"} 3\nphase_seconds_bucket{le=\"2\"} 4\nphase_seconds_bucket{le=\"+Inf\"} 5\nphase_seconds_sum 11.0505\nphase_seconds_count 5\n# TYPE ratio gauge\nratio 0.125\n# TYPE tiny gauge\ntiny 0.333333\n"
+
+let test_metrics_dump_golden () =
+  let r = M.create () in
+  M.incr ~by:42 (M.counter ~help:"jobs \"done\"" r "jobs_total");
+  ignore (M.counter r "bare_total");
+  M.set_gauge (M.gauge ~help:"queue depth" r "depth") 3.0;
+  M.set_gauge (M.gauge r "ratio") 0.125;
+  M.set_gauge (M.gauge r "tiny") (1.0 /. 3.0);
+  let h =
+    M.histogram ~help:"phase seconds" ~buckets:[ 0.001; 0.5; 2.0 ] r
+      "phase_seconds"
+  in
+  List.iter (M.observe h) [ 0.0005; 0.25; 0.3; 1.5; 9.0 ];
+  Alcotest.(check string) "dump matches the captured golden" golden_metrics
+    (M.dump r);
+  match Obs.Json.parse (Obs.Json.to_string (M.to_json r)) with
+  | Ok v ->
+      Alcotest.(check string) "render over the wire = dump" golden_metrics
+        (M.render v)
+  | Error m -> Alcotest.failf "metrics JSON reparse: %s" m
+
+let test_members_view_parses () =
+  let m =
+    Cluster.Membership.create ~auto_probe:false
+      [
+        { Cluster.Membership.sh_id = "a"; sh_host = "h\"x\\y"; sh_port = 1 };
+        { Cluster.Membership.sh_id = "b.2"; sh_host = "127.0.0.1"; sh_port = 2 };
+      ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Membership.stop m) @@ fun () ->
+  let j =
+    parse_ok "members JSON"
+      (Obs.Json.to_string (Cluster.Membership.members_json m))
+  in
+  Alcotest.(check (list string)) "members keys" [ "epoch"; "vnodes"; "shards" ]
+    (keys j);
+  match obj_field "shards" j with
+  | Some (J_arr [ a; _ ]) ->
+      Alcotest.(check (list string)) "shard keys"
+        [ "id"; "host"; "port"; "state"; "fails" ] (keys a);
+      Alcotest.(check bool) "host escaped" true
+        (obj_field "host" a = Some (J_str "h\"x\\y"))
+  | _ -> Alcotest.fail "expected two shards"
+
+let test_member_spec_ids () =
+  let module Mb = Cluster.Membership in
+  (match Mb.parse_spec "a=127.0.0.1:7000, b-2.x_y=localhost:7001" with
+  | Ok [ a; b ] ->
+      Alcotest.(check (list string)) "ids" [ "a"; "b-2.x_y" ]
+        [ a.Mb.sh_id; b.Mb.sh_id ];
+      Alcotest.(check int) "port" 7001 b.Mb.sh_port
+  | _ -> Alcotest.fail "valid spec refused");
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ " refused") true
+        (Result.is_error (Mb.parse_shard spec)))
+    [ "a\"b=127.0.0.1:7000"; "a b=h:1"; "=h:1"; "a=h"; "a=:1"; "a=h:0"; "a/b=h:1" ]
+
+(* ------------------------------------------------------------------ *)
+(* Obs.Json                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun n -> Obs.Json.Int n) int;
+        map (fun f -> Obs.Json.Float (finite f)) float;
+        map (fun n -> Obs.Json.Float (float_of_int n /. 1000.0)) small_signed_int;
+        map (fun s -> Obs.Json.String s) str;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n - 1)))) );
+             ])
+
+let arbitrary_json = QCheck.make ~print:Obs.Json.to_string gen_json
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = Ok v" ~count:500
+    ~long_factor:20 arbitrary_json (fun v ->
+      Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+let prop_json_total =
+  QCheck.Test.make ~name:"json: parse never raises" ~count:1000
+    ~long_factor:20
+    QCheck.(
+      pair arbitrary_json
+        (make Gen.(pair (int_bound 10_000) (string_size ~gen:char (int_bound 64)))))
+    (fun (v, (at, junk)) ->
+      let text = Obs.Json.to_string v in
+      let cut = String.sub text 0 (at mod (String.length text + 1)) in
+      List.for_all
+        (fun s ->
+          match Obs.Json.parse s with
+          | Ok _ | Error _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "parse %S raised %s" s
+                (Printexc.to_string e))
+        [ junk; cut; cut ^ junk; String.make 10_000 '[' ])
+
+let test_json_writer () =
+  let module J = Obs.Json in
+  Alcotest.(check string) "compact, escaped, floats shortest"
+    {|{"a":[1,2.5,3.0,0.1,1e+20,null],"b":"q\"\\\n\u0001","c":{}}|}
+    (J.to_string
+       (J.Obj
+          [
+            ("a", J.List [ J.Int 1; J.Float 2.5; J.Float 3.0; J.Float 0.1;
+                           J.Float 1e20; J.Float Float.nan ]);
+            ("b", J.String "q\"\\\n\001");
+            ("c", J.Obj []);
+          ]));
+  Alcotest.(check bool) "whitespace and \\u escapes read" true
+    (J.parse " { \"k\" : [ true , false , null , -0.5e1 , \"\\u00e9\\/\" ] } "
+    = Ok (J.Obj [ ("k", J.List [ J.Bool true; J.Bool false; J.Null;
+                                 J.Float (-5.0); J.String "\xc3\xa9/" ]) ]));
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " rejected") true
+        (Result.is_error (J.parse bad)))
+    [ ""; "{"; "[1,]"; "01"; "1."; "\"\n\""; "tru"; "{} x"; "{1:2}" ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver decisions vs. spans                                          *)
@@ -717,5 +976,19 @@ let tests =
       test_dump_sorted_with_help;
     Alcotest.test_case "metrics: to_json reparses" `Quick
       test_metrics_json_roundtrip;
+    Alcotest.test_case "metrics: JSON help is the last field" `Quick
+      test_metrics_json_help_last;
+    Alcotest.test_case "metrics: dump matches the golden text" `Quick
+      test_metrics_dump_golden;
+    Alcotest.test_case "stats: text golden, JSON keys, escaping" `Quick
+      test_stats_views;
+    Alcotest.test_case "members: plain view parses, keys in order" `Quick
+      test_members_view_parses;
+    Alcotest.test_case "members: spec parser validates shard ids" `Quick
+      test_member_spec_ids;
+    Alcotest.test_case "json: writer and strict reader" `Quick
+      test_json_writer;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_total;
     QCheck_alcotest.to_alcotest prop_decisions_have_spans;
   ]
