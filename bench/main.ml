@@ -663,10 +663,11 @@ let cluster_pass () =
     in
     if n > 1 then
       List.iter
-        (fun (id, _, _, repl) ->
+        (fun (id, _, net, repl) ->
           repl :=
             Some
-              (Cluster.Replicator.create ~replicas ~self:id ~peers:shards ()))
+              (Cluster.Replicator.create ~replicas ~self:id ~peers:shards
+                 (Net.Server.loop net)))
         handles;
     let proxy = Cluster.Proxy.create ~probe_ms:200.0 shards in
     let ccfg = Net.Client.default_cfg ~port:(Cluster.Proxy.port proxy) in
@@ -731,10 +732,8 @@ let cluster_pass () =
     Cluster.Proxy.drain proxy;
     List.iter
       (fun (_, svc, net, repl) ->
-        (match !repl with
-        | Some r -> Cluster.Replicator.stop r
-        | None -> ());
         Net.Server.drain net;
+        Option.iter Cluster.Replicator.stop !repl;
         ignore (Service.Server.shutdown svc))
       handles;
     json

@@ -79,9 +79,10 @@ let sweep_validate verbose target =
 (* --serve mode: put the pool on the network behind the cedarnet
    front-end and run until a Shutdown frame or SIGINT/SIGTERM arrives.
    Both stop paths converge on the same deterministic drain: stop
-   accepting, reject new work, finish in-flight replies, join the
-   connection threads, then Service.Server.shutdown flushes stats. *)
-let serve server fault ?on_cluster_change ~host ~port ~max_conns
+   accepting, reject new work, finish in-flight replies and queued
+   replication pushes, stop the event loop, then Service.Server.shutdown
+   flushes stats.  [on_serving] runs once the loop exists. *)
+let serve server fault ?on_cluster_change ~on_serving ~host ~port ~max_conns
     ~max_inflight ~max_source_bytes ~net_timeout_s ~metrics_port ~metrics ()
     =
   let net_cfg =
@@ -99,18 +100,13 @@ let serve server fault ?on_cluster_change ~host ~port ~max_conns
      limit before accepting *)
   ignore (Aio.raise_fd_limit ());
   let net = Net.Server.create ~fault ?on_cluster_change net_cfg server in
-  let scrape =
-    match metrics_port with
-    | None -> None
-    | Some p ->
-        let ep =
-          Net.Metrics_http.start ~host ~port:p (fun () ->
-              Obs.Metrics.dump Obs.Metrics.global)
-        in
-        Printf.printf "cedard: metrics on http://%s:%d/metrics\n%!" host
-          (Net.Metrics_http.port ep);
-        Some ep
-  in
+  on_serving net;
+  Option.iter
+    (fun p ->
+      let ep = Net.Server.attach_metrics net ~port:p in
+      Printf.printf "cedard: metrics on http://%s:%d/metrics\n%!" host
+        (Net.Metrics_http.port ep))
+    metrics_port;
   (* signal-safe: request_stop only flips an atomic flag *)
   let on_signal _ = Net.Server.request_stop net in
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -122,7 +118,6 @@ let serve server fault ?on_cluster_change ~host ~port ~max_conns
   Net.Server.wait_stop net;
   Printf.printf "cedard: draining...\n%!";
   Net.Server.drain net;
-  (match scrape with Some ep -> Net.Metrics_http.stop ep | None -> ());
   let stats = Service.Server.shutdown server in
   Printf.printf
     "cedard: served %d connection(s), in-flight high water %d, shed %d\n"
@@ -187,21 +182,26 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
       Printf.eprintf "cedard: bad --cluster spec: %s\n" msg;
       2
   | Ok peers ->
-  (* warm-cache replication: only meaningful with a shard identity and
-     at least one peer to push to *)
-  let replicator =
+  (* warm-cache replication: only meaningful when serving, with a shard
+     identity and at least one peer to push to.  Its sender runs on the
+     server's event loop, so the replicator is made once that loop
+     exists; the Atomic publishes it, wired, to the worker domains and
+     the loop. *)
+  let replicated_peers =
     match peers with
-    | Some peers when shard_id <> "" && List.length peers > 1 ->
-        Some
-          (Cluster.Replicator.create ~vnodes ~replicas ~self:shard_id ~peers
-             ())
+    | Some peers
+      when serve_port <> None && shard_id <> "" && List.length peers > 1 ->
+        Some peers
     | _ -> None
   in
+  let replicator = Atomic.make None in
   let on_cache_fill =
     Option.map
-      (fun r ~key ~digest payload ->
-        Cluster.Replicator.push r ~key ~digest payload)
-      replicator
+      (fun _ ~key ~digest payload ->
+        Option.iter
+          (fun r -> Cluster.Replicator.push r ~key ~digest payload)
+          (Atomic.get replicator))
+      replicated_peers
   in
   let server =
     Service.Server.create ~workers ~cache_capacity:cache_size ~memo_capacity
@@ -211,74 +211,72 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
   (* topology plumbing: re-replication on membership changes pulls the
      resident cache back through the replicator, and outbound counters
      land in this shard's stats *)
-  (match replicator with
-  | None -> ()
-  | Some r ->
-      Cluster.Replicator.set_export r (fun () ->
-          Service.Server.export_cache server);
-      Cluster.Replicator.set_gc r (fun ~keep ->
-          Service.Server.gc_replicas server ~keep);
-      Service.Server.set_replication_source server (fun () ->
-          let c = Cluster.Replicator.counts r in
-          (c.Cluster.Replicator.pushed, c.Cluster.Replicator.skipped_down)));
+  let start_replication net =
+    Option.iter
+      (fun peers ->
+        let r =
+          Cluster.Replicator.create ~vnodes ~replicas ~self:shard_id ~peers
+            (Net.Server.loop net)
+        in
+        Cluster.Replicator.set_export r (fun () ->
+            Service.Server.export_cache server);
+        Cluster.Replicator.set_gc r (fun ~keep ->
+            Service.Server.gc_replicas server ~keep);
+        Service.Server.set_replication_source server (fun () ->
+            let c = Cluster.Replicator.counts r in
+            (c.Cluster.Replicator.pushed, c.Cluster.Replicator.skipped_down));
+        Atomic.set replicator (Some r))
+      replicated_peers
+  in
   (* the shard's own member view, mutated by Cluster_add/Cluster_remove
-     frames the proxy broadcasts after an applied topology change.  The
+     frames the proxy broadcasts after an applied topology change.  It
+     runs on the server's event loop, like the replicator's ring.  The
      "epoch" a shard acks is its local applied-change count — the
      cluster's ring epoch lives in the proxy's membership view. *)
   let on_cluster_change =
-    match (replicator, peers) with
-    | Some r, Some initial ->
-        let mu = Mutex.create () in
+    Option.map
+      (fun initial ->
         let members = ref initial in
         let applied = ref 0 in
-        Some
-          (fun change ->
-            Mutex.lock mu;
-            let result =
-              match change with
-              | `Add (id, host, port) ->
-                  if
-                    List.exists
-                      (fun s -> s.Cluster.Membership.sh_id = id)
-                      !members
-                  then (false, !applied, Printf.sprintf "%s: already a member" id)
-                  else begin
-                    members :=
-                      !members
-                      @ [
-                          {
-                            Cluster.Membership.sh_id = id;
-                            sh_host = host;
-                            sh_port = port;
-                          };
-                        ];
-                    incr applied;
-                    Cluster.Replicator.set_members r !members;
-                    (true, !applied, Printf.sprintf "%s: member added" id)
-                  end
-              | `Remove id ->
-                  if
-                    not
-                      (List.exists
-                         (fun s -> s.Cluster.Membership.sh_id = id)
-                         !members)
-                  then (false, !applied, Printf.sprintf "%s: not a member" id)
-                  else begin
-                    members :=
-                      List.filter
-                        (fun s -> s.Cluster.Membership.sh_id <> id)
-                        !members;
-                    incr applied;
-                    Cluster.Replicator.set_members r !members;
-                    (true, !applied, Printf.sprintf "%s: member removed" id)
-                  end
-            in
-            Mutex.unlock mu;
-            result)
-    | _ -> None
+        let apply next msg =
+          members := next;
+          incr applied;
+          Option.iter
+            (fun r -> Cluster.Replicator.set_members r next)
+            (Atomic.get replicator);
+          (true, !applied, msg)
+        in
+        let is_member id =
+          List.exists (fun s -> s.Cluster.Membership.sh_id = id) !members
+        in
+        function
+        | `Add (id, host, port) ->
+            if is_member id then
+              (false, !applied, Printf.sprintf "%s: already a member" id)
+            else
+              apply
+                (!members
+                @ [
+                    {
+                      Cluster.Membership.sh_id = id;
+                      sh_host = host;
+                      sh_port = port;
+                    };
+                  ])
+                (Printf.sprintf "%s: member added" id)
+        | `Remove id ->
+            if not (is_member id) then
+              (false, !applied, Printf.sprintf "%s: not a member" id)
+            else
+              apply
+                (List.filter
+                   (fun s -> s.Cluster.Membership.sh_id <> id)
+                   !members)
+                (Printf.sprintf "%s: member removed" id))
+      replicated_peers
   in
   let stop_replicator () =
-    match replicator with
+    match Atomic.get replicator with
     | None -> ()
     | Some r ->
         Cluster.Replicator.stop r;
@@ -296,13 +294,11 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
         Printf.printf
           "cedard: shard %s in a %d-shard cluster (replicas %d)\n%!" shard_id
           (match peers with Some p -> List.length p | None -> 1)
-          (match replicator with
-          | Some r -> Cluster.Replicator.replicas r
-          | None -> 1);
+          (if replicated_peers = None then 1 else max 1 replicas);
       let code =
-        serve server fault ?on_cluster_change ~host ~port ~max_conns
-          ~max_inflight ~max_source_bytes ~net_timeout_s ~metrics_port
-          ~metrics ()
+        serve server fault ?on_cluster_change ~on_serving:start_replication
+          ~host ~port ~max_conns ~max_inflight ~max_source_bytes
+          ~net_timeout_s ~metrics_port ~metrics ()
       in
       stop_replicator ();
       (match (tracer, trace_file) with
@@ -645,10 +641,10 @@ let cluster_arg =
     & info [ "cluster" ] ~docv:"SPEC"
         ~doc:
           "the full static shard set as id=host:port,id=host:port,... \
-           (this shard included).  With --shard-id, enables warm-cache \
-           replication: every fresh full-rung result is pushed to its \
-           ring successor.  Every shard and the proxy must be given the \
-           same list and --vnodes")
+           (this shard included).  With --shard-id and --serve, enables \
+           warm-cache replication: every fresh full-rung result is \
+           pushed to its ring successor.  Every shard and the proxy must \
+           be given the same list and --vnodes")
 
 let vnodes_arg =
   Arg.(

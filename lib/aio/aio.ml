@@ -498,10 +498,11 @@ let create ?source () =
 
 let post t f =
   Mutex.lock t.posted_mu;
-  let drop = t.finished in
-  if not drop then Queue.push f t.posted;
+  let accepted = not t.finished in
+  if accepted then Queue.push f t.posted;
   Mutex.unlock t.posted_mu;
-  if not drop then t.src.src_wake ()
+  if accepted then t.src.src_wake ();
+  accepted
 
 let drain_posted t =
   Mutex.lock t.posted_mu;
@@ -553,10 +554,17 @@ let run t main =
       step ()
     end
   in
-  step ();
-  Mutex.lock t.posted_mu;
-  t.finished <- true;
-  Mutex.unlock t.posted_mu;
+  (* finish only with the posted queue empty, under its lock: a thunk
+     [post] accepted always runs *)
+  let rec finish () =
+    step ();
+    Mutex.lock t.posted_mu;
+    let idle = Queue.is_empty t.posted in
+    if idle then t.finished <- true;
+    Mutex.unlock t.posted_mu;
+    if not idle then finish ()
+  in
+  finish ();
   t.src.src_close ()
 
 let live_fibers t = t.live
@@ -677,7 +685,7 @@ let fulfil p v =
   in
   Mutex.unlock p.pr_mu;
   match waiter with
-  | Some w -> post p.pr_t (fun () -> fire p.pr_t w Wposted)
+  | Some w -> ignore (post p.pr_t (fun () -> fire p.pr_t w Wposted))
   | None -> ()
 
 let await ?deadline p =

@@ -100,11 +100,14 @@ val run : t -> (unit -> unit) -> unit
     no live fibers remain, then close the source.  Runs on the calling
     thread; a scheduler can be run at most once. *)
 
-val post : t -> (unit -> unit) -> unit
+val post : t -> (unit -> unit) -> bool
 (** Thread-safe: enqueue a thunk to run on the scheduler thread between
     fiber steps and wake the loop.  The thunk runs outside any fiber, so
     it must not perform fiber effects — it may {!spawn_on},
-    {!cancel_on} and {!fulfil}.  Dropped if the loop has finished. *)
+    {!cancel_on} and {!fulfil}.  [true] iff the thunk was queued; a
+    queued thunk always runs, because {!run} only returns with the
+    queue empty.  [false] once the loop has finished: the thunk is
+    dropped. *)
 
 val spawn_on : t -> (unit -> unit) -> fiber
 (** Spawn from the scheduler thread outside a fiber (a {!post} thunk, or

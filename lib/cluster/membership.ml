@@ -63,10 +63,7 @@ type t = {
   mutable full_ring : Ring.t;  (* all current members: the all-down fallback *)
   mutable live_ring : Ring.t;
   mutable epoch : int;  (* bumps whenever routable membership changes *)
-  mutable tick : int;  (* jitter draw counter *)
-  mutable draws : int;  (* probe-loss draw counter *)
-  mutable stopping : bool;
-  mutable prober : Thread.t option;
+  mutable draws : int;  (* probe-loss draw counter; the prober's own *)
 }
 
 module M = Obs.Metrics
@@ -157,16 +154,16 @@ let note_success t id =
   match find t id with None -> () | Some tr -> apply_success t tr
 
 (* One-shot ping: a single connection attempt with tight timeouts — the
-   probe must never hang the loop behind a dead host.  [probe_loss]
-   deterministically swallows a fraction of probes (seeded, distinct
-   stream from the period jitter) so tests can flap a healthy shard
-   without touching the network. *)
+   probe must never stall the loop's other fibers behind a dead host.
+   [probe_loss] deterministically swallows a fraction of probes (seeded,
+   distinct stream from the period jitter) so tests can flap a healthy
+   shard without touching the network. *)
 let probe_shard t tr =
   let lost =
     t.probe_loss > 0.0
     &&
-    let n = with_lock t (fun () -> t.draws <- t.draws + 1; t.draws) in
-    unit_float (t.seed lxor 0x10c4e55) n < t.probe_loss
+    (t.draws <- t.draws + 1;
+     unit_float (t.seed lxor 0x10c4e55) t.draws < t.probe_loss)
   in
   if lost then apply_failure t tr
   else
@@ -179,61 +176,48 @@ let probe_shard t tr =
         max_attempts = 1;
       }
     in
-    match Net.Client.connect cfg with
+    match Net.Client.connect_fiber cfg with
     | Error _ -> apply_failure t tr
-    | Ok c ->
-        (match Net.Client.ping c with
+    | Ok c -> (
+        match
+          Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () ->
+              Net.Client.ping c)
+        with
         | Ok _ -> apply_success t tr
-        | Error _ -> apply_failure t tr);
-        Net.Client.close c
+        | Error _ -> apply_failure t tr)
 
 let probe_once t =
   let snapshot = with_lock t (fun () -> t.tracked) in
   List.iter (fun tr -> probe_shard t tr) snapshot
 
 let probe_loop t =
-  while not t.stopping do
+  let rec go tick =
     probe_once t;
-    let n = with_lock t (fun () -> t.tick <- t.tick + 1; t.tick) in
     (* jitter the period ±50% so a proxy fleet never probes in phase *)
-    let delay = t.probe_s *. (0.5 +. unit_float t.seed n) in
-    (* sleep in small slices so stop is prompt *)
-    let slices = max 1 (int_of_float (delay /. 0.05)) in
-    let slice = delay /. float_of_int slices in
-    let i = ref 0 in
-    while (not t.stopping) && !i < slices do
-      Thread.delay slice;
-      incr i
-    done
-  done
+    Aio.sleep (t.probe_s *. (0.5 +. unit_float t.seed tick));
+    go (tick + 1)
+  in
+  go 1
 
 let create ?(vnodes = 64) ?(probe_ms = 500.0) ?(down_after = 2)
-    ?(timeout_s = 1.0) ?(seed = 0x5eed) ?(auto_probe = true)
-    ?(probe_loss = 0.0) shards =
+    ?(timeout_s = 1.0) ?(seed = 0x5eed) ?(probe_loss = 0.0) shards =
   let ids = List.map (fun s -> s.sh_id) shards in
   let full_ring = Ring.make ~vnodes ids in
-  let t =
-    {
-      vnodes;
-      probe_s = Float.max 0.01 (probe_ms /. 1000.0);
-      down_after = max 1 down_after;
-      timeout_s;
-      seed;
-      probe_loss;
-      mutex = Mutex.create ();
-      tracked = List.map (fun shard -> { shard; st = Up; fails = 0 }) shards;
-      full_ring;
-      live_ring = full_ring;
-      epoch = 1;
-      tick = 0;
-      draws = 0;
-      stopping = false;
-      prober = None;
-    }
-  in
   M.set_gauge m_epoch 1.0;
-  if auto_probe then t.prober <- Some (Thread.create probe_loop t);
-  t
+  {
+    vnodes;
+    probe_s = Float.max 0.01 (probe_ms /. 1000.0);
+    down_after = max 1 down_after;
+    timeout_s;
+    seed;
+    probe_loss;
+    mutex = Mutex.create ();
+    tracked = List.map (fun shard -> { shard; st = Up; fails = 0 }) shards;
+    full_ring;
+    live_ring = full_ring;
+    epoch = 1;
+    draws = 0;
+  }
 
 let ring t = with_lock t (fun () -> t.live_ring)
 let epoch t = with_lock t (fun () -> t.epoch)
@@ -296,11 +280,3 @@ let members_json t =
                      ])
                  t.tracked) );
         ])
-
-let stop t =
-  t.stopping <- true;
-  match t.prober with
-  | None -> ()
-  | Some th ->
-      t.prober <- None;
-      Thread.join th

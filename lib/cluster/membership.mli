@@ -4,8 +4,9 @@
     {!add_shard} and {!remove_shard} change it at runtime (driven by
     [cedarctl cluster add/remove] through the proxy).  What this module
     tracks is which members are currently routable.  Health is probed
-    with the protocol's own {!Net.Wire.Ping} on a seeded, jittered loop
-    (so a fleet of proxies does not synchronize its probes), and
+    with the protocol's own {!Net.Wire.Ping} by {!probe_loop}, a fiber
+    on the owner's {!Aio} loop with a seeded, jittered period (so a
+    fleet of proxies does not synchronize its probes), and
     demotions also arrive from the data path — the proxy reports a
     transport error on a routed request via {!note_failure}, which is
     faster than waiting for the next probe tick.
@@ -49,18 +50,16 @@ val create :
   ?down_after:int ->
   ?timeout_s:float ->
   ?seed:int ->
-  ?auto_probe:bool ->
   ?probe_loss:float ->
   shard list ->
   t
-(** Start tracking the given shards (all initially [Up]).  [vnodes]
+(** Start tracking the given shards (all initially [Up]).  Nothing is
+    probed until {!probe_once} or {!probe_loop} runs.  [vnodes]
     (default 64) is per-shard ring weight; [probe_ms] (default 500)
-    the mean probe period, jittered ±50% per tick; [down_after]
-    (default 2) consecutive failures demote to [Down]; [timeout_s]
-    (default 1) bounds each probe's connect and round trip; [seed]
-    makes the jitter stream deterministic.  [auto_probe:false]
-    (default [true]) suppresses the background thread — tests then
-    drive probing synchronously with {!probe_once}.  [probe_loss]
+    the mean {!probe_loop} period, jittered ±50% per tick;
+    [down_after] (default 2) consecutive failures demote to [Down];
+    [timeout_s] (default 1) bounds each probe's connect and round
+    trip; [seed] makes the jitter stream deterministic.  [probe_loss]
     (default 0) deterministically fails that fraction of probes before
     they touch the network — the seeded flapping injector. *)
 
@@ -99,13 +98,15 @@ val note_success : t -> string -> unit
 (** Data-path promotion: the shard answered; resets it to [Up]. *)
 
 val probe_once : t -> unit
-(** One synchronous probe pass over every shard (ping, apply
-    transitions).  The background loop calls exactly this. *)
+(** Fiber context: one probe pass over every shard (ping, apply
+    transitions), suspending on each shard's connect and round trip. *)
+
+val probe_loop : t -> unit
+(** Fiber context: {!probe_once}, then sleep one jittered period, for
+    ever.  Only {!Aio.Cancelled} ends it; the owner spawns it on its
+    loop and cancels it at drain. *)
 
 val members_json : t -> Obs.Json.t
 (** Membership as JSON:
     [{"epoch":E,"vnodes":V,"shards":[{"id":...,"host":...,"port":...,
     "state":...,"fails":...},...]}] *)
-
-val stop : t -> unit
-(** Stop the probe thread (if any) and join it.  Idempotent. *)

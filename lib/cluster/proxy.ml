@@ -5,13 +5,13 @@
    replies never interleave).  Each admitted submit gets a relay fiber
    that makes its shard round trip itself, on a fiber-side
    Net.Client connection ([Net.Client.connect_fiber]) checked out of
-   the shard's idle list: connect, send and reply all suspend the
+   the shard's Upstream pool: connect, send and reply all suspend the
    fiber on the same loop.  At most [upstream_width] round trips run
-   at once; excess relays suspend for a slot.  The loop is the only
-   thread that touches upstreams, route counters and the topology
-   barrier, so none of them takes a lock.  The proxy's threads are
-   the loop and the membership prober, however many requests are in
-   flight. *)
+   at once; excess relays suspend for a slot.  The membership prober
+   and any metrics endpoint are fibers on the same loop.  The loop is
+   the only thread that touches upstreams, route counters and the
+   topology barrier, so none of them takes a lock.  The proxy's one
+   thread is the loop, however many requests are in flight. *)
 
 module M = Obs.Metrics
 
@@ -43,14 +43,8 @@ type conn = {
   mutable c_alive : int;  (* reader + outstanding relay fibers *)
 }
 
-(* one shard's upstream side: idle fiber connections and the shard's
-   route counter *)
-type upstream = {
-  u_cfg : Net.Client.cfg;
-  mutable u_idle : Net.Client.t list;
-  mutable u_closed : bool;  (* removed: connections are not kept *)
-  u_routed : M.counter;
-}
+(* one shard's upstream side: its connection pool and route counter *)
+type upstream = { u_pool : Upstream.t; u_routed : M.counter }
 
 type t = {
   cfg : cfg;
@@ -81,7 +75,9 @@ type t = {
   scratch : Bytes.t;
   mutable conns : conn list;  (* loop thread only *)
   mutable accept_fiber : Aio.fiber option;
+  mutable probe_fiber : Aio.fiber option;
   mutable loop_thread : Thread.t option;
+  mutable scrapes : Net.Metrics_http.t list;  (* stopped at drain *)
 }
 
 let m_failover =
@@ -206,45 +202,17 @@ let change_topology t mutate =
 (* ------------------------------------------------------------------ *)
 
 let upstream_width = 16
-let max_idle = 8
 
 let upstream_of t id = List.assoc_opt id t.upstreams
 
-(* One round trip to a shard on a fiber connection: an idle one is
-   reused, otherwise one is dialed.  A connection that saw an error is
-   closed instead of returned, so no socket is recycled in an unknown
-   state. *)
+(* One round trip to a shard, holding one of the [upstream_width]
+   slots *)
 let with_upstream t u f =
   ignore (Aio.Mailbox.take t.slots);
   Fun.protect ~finally:(fun () -> ignore (Aio.Mailbox.put t.slots ()))
-  @@ fun () ->
-  let conn =
-    match u.u_idle with
-    | c :: rest ->
-        u.u_idle <- rest;
-        Ok c
-    | [] -> Net.Client.connect_fiber u.u_cfg
-  in
-  match conn with
-  | Error _ as e -> e
-  | Ok c -> (
-      match f c with
-      | Ok _ as ok ->
-          if u.u_closed || List.length u.u_idle >= max_idle then
-            Net.Client.close c
-          else u.u_idle <- c :: u.u_idle;
-          ok
-      | Error _ as e ->
-          Net.Client.close c;
-          e
-      | exception e ->
-          Net.Client.close c;
-          raise e)
+  @@ fun () -> Upstream.with_client u.u_pool f
 
-let close_upstream u =
-  u.u_closed <- true;
-  List.iter Net.Client.close u.u_idle;
-  u.u_idle <- []
+let close_upstream u = Upstream.close u.u_pool
 
 let try_reserve t =
   if t.inflight >= t.cfg.max_inflight then false
@@ -460,7 +428,7 @@ let enriched_members_json t =
            in
            let idle =
              match upstream_of t shard.Membership.sh_id with
-             | Some u -> List.length u.u_idle
+             | Some u -> Upstream.idle u.u_pool
              | None -> 0
            in
            J.Obj
@@ -497,16 +465,15 @@ let enriched_members_json t =
 
 let shard_upstream cfg (s : Membership.shard) =
   {
-    u_cfg =
-      {
-        (Net.Client.default_cfg ~port:s.Membership.sh_port) with
-        Net.Client.host = s.Membership.sh_host;
-        connect_timeout_s = Float.min 5.0 cfg.shard_timeout_s;
-        request_timeout_s = cfg.shard_timeout_s;
-        max_attempts = 2;
-      };
-    u_idle = [];
-    u_closed = false;
+    u_pool =
+      Upstream.create
+        {
+          (Net.Client.default_cfg ~port:s.Membership.sh_port) with
+          Net.Client.host = s.Membership.sh_host;
+          connect_timeout_s = Float.min 5.0 cfg.shard_timeout_s;
+          request_timeout_s = cfg.shard_timeout_s;
+          max_attempts = 2;
+        };
     u_routed =
       M.counter M.global ~help:"submits routed to this shard"
         (Printf.sprintf "cluster_route_%s_total" s.Membership.sh_id);
@@ -797,7 +764,6 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
   (try Unix.bind listen_fd addr
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     Membership.stop members;
      raise e);
   Unix.listen listen_fd 64;
   Unix.set_nonblock listen_fd;
@@ -830,7 +796,9 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       scratch = Bytes.create 65536;
       conns = [];
       accept_fiber = None;
+      probe_fiber = None;
       loop_thread = None;
+      scrapes = [];
     }
   in
   t.loop_thread <-
@@ -841,6 +809,11 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
                for _ = 1 to upstream_width do
                  ignore (Aio.Mailbox.put t.slots ())
                done;
+               t.probe_fiber <-
+                 Some
+                   (Aio.spawn (fun () ->
+                        try Membership.probe_loop members
+                        with Aio.Cancelled -> ()));
                t.accept_fiber <- Some (Aio.self ());
                accept_loop t))
          ());
@@ -849,12 +822,19 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
 let port t = t.bound_port
 let membership t = t.members
 
+let attach_metrics t ~port =
+  let ep =
+    Net.Metrics_http.start ~host:t.cfg.host ~port t.sched (fun () ->
+        M.dump M.global)
+  in
+  t.scrapes <- ep :: t.scrapes;
+  ep
+
 let request_stop t =
   Atomic.set t.stop true;
-  Aio.post t.sched (fun () ->
-      match t.accept_fiber with
-      | Some f -> Aio.cancel_on t.sched f
-      | None -> ())
+  ignore
+    (Aio.post t.sched (fun () ->
+         Option.iter (Aio.cancel_on t.sched) t.accept_fiber))
 
 let wait_stop t =
   while not (Atomic.get t.stop) do
@@ -867,19 +847,21 @@ let drain t =
     (* on the loop thread: stop the readers — relay fibers still in
        flight finish their shard round trips and their replies flush
        through the writer before the loop drains *)
-    Aio.post t.sched (fun () ->
-        List.iter
-          (fun c ->
-            try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ -> ())
-          t.conns);
+    ignore
+      (Aio.post t.sched (fun () ->
+           List.iter
+             (fun c ->
+               try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
+               with Unix.Unix_error _ -> ())
+             t.conns;
+           Option.iter (Aio.cancel_on t.sched) t.probe_fiber));
+    List.iter Net.Metrics_http.stop t.scrapes;
     (match t.loop_thread with
     | Some th ->
         Thread.join th;
         t.loop_thread <- None
     | None -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Membership.stop t.members;
     (* the loop has exited, so nothing else touches the upstreams *)
     List.iter (fun (_, u) -> close_upstream u) t.upstreams
   end

@@ -7,10 +7,12 @@
     and routed to the key's ring owner, so the same program always
     lands on the same shard — and therefore in the same warm cache.
     Requests pipeline: each admitted submit is relayed by its own fiber
-    on the proxy's event loop, over a reused per-shard connection.  At
-    most 16 shard round trips run at once; further relays wait for one
-    to finish.  The proxy runs two threads, the loop and the membership
-    prober, however many requests are in flight.
+    on the proxy's event loop, over a reused per-shard connection from
+    an {!Upstream} pool.  At most 16 shard round trips run at once;
+    further relays wait for one to finish.  The membership prober
+    ({!Membership.probe_loop}) and any metrics endpoint are fibers on
+    the same loop, so the proxy runs one thread, the loop, however many
+    requests are in flight.
 
     Failure handling, in order of preference: a shard that answers
     typed (even [R_overloaded]) is believed; a transport failure demotes
@@ -72,14 +74,20 @@ val create :
   Membership.shard list ->
   t
 (** Start the proxy over the given shards: builds the membership view
-    (with its jittered probe thread) and starts the event-loop thread
-    that accepts clients and relays their requests.  Ring parameters must match the shards' replicators
-    ([vnodes], default 64). *)
+    and starts the event-loop thread that accepts clients, relays their
+    requests and runs the jittered probe fiber.  Ring parameters must
+    match the shards' replicators ([vnodes], default 64). *)
 
 val port : t -> int
 (** The bound TCP port. *)
 
 val membership : t -> Membership.t
+
+val attach_metrics : t -> port:int -> Net.Metrics_http.t
+(** Serve the Prometheus dump of {!Obs.Metrics.global} over HTTP on
+    [port] (0 = ephemeral) of the proxy's host, from a fiber on the
+    proxy's loop.  {!drain} stops it.
+    @raise Unix.Unix_error when the address cannot be bound. *)
 
 val request_stop : t -> unit
 (** Ask the proxy to stop (signal-handler safe). *)
@@ -88,8 +96,8 @@ val wait_stop : t -> unit
 (** Block until {!request_stop} is called. *)
 
 val drain : t -> unit
-(** Stop accepting, finish in-flight relays, stop probing, close the
-    idle shard connections.  Idempotent. *)
+(** Stop accepting, cancel the probe and metrics fibers, finish
+    in-flight relays, close the idle shard connections.  Idempotent. *)
 
 val routed_total : t -> int
 (** Submits relayed to a shard (first attempt or failover). *)

@@ -20,28 +20,33 @@ type peer_health = { mutable ph_fails : int; mutable ph_retry_at : float }
 let down_after = 2
 let cooldown_s = 2.0
 
+(* The mutable state is loop-local, touched only by post thunks and
+   fibers on [loop], so none of it takes a lock; [export] and [gc] are
+   wired once, before the loop can need them.  The counters are atomics
+   because [counts] is read from any thread. *)
 type t = {
   self : string;
   replicas : int;  (* total copies of a key, primary included *)
   vnodes : int;
   timeout_s : float;
-  mutex : Mutex.t;
+  loop : Aio.t;
   mutable ring : Ring.t;
-  mutable pools : (string * Pool.t) list;  (* by shard id, self excluded *)
+  mutable pools : (string * Upstream.t) list;  (* by shard id, self excluded *)
   health : (string, peer_health) Hashtbl.t;
   mutable export :
     (unit -> (string * string * Service.Server.payload) list) option;
   mutable gc : (keep:(string -> bool) -> int) option;
       (* drops replica-flagged cache entries failing [keep]; wired to
          [Service.Server.gc_replicas] *)
-  queue : item Service.Bounded_queue.t;
+  queue : item Queue.t;
+  capacity : int;
+  mutable sending : bool;  (* a sender fiber is alive *)
   c_pushed : int Atomic.t;
   c_admitted : int Atomic.t;
   c_rejected : int Atomic.t;
   c_dropped : int Atomic.t;
   c_errors : int Atomic.t;
   c_skipped : int Atomic.t;
-  mutable sender : Thread.t option;
 }
 
 module M = Obs.Metrics
@@ -67,10 +72,6 @@ let m_skipped =
     ~help:"warm-cache pushes skipped because the target was held down"
     "cluster_replication_skipped_down_total"
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let cache_push_of_item it =
   let p = it.it_payload in
   {
@@ -83,31 +84,27 @@ let cache_push_of_item it =
     cp_notes = List.map Net.Wire.note_of_report p.Service.Server.p_reports;
   }
 
-(* health bookkeeping, all under the lock *)
 let target_usable t id now =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.health id with
-      | None -> true
-      | Some ph -> ph.ph_fails < down_after || now >= ph.ph_retry_at)
+  match Hashtbl.find_opt t.health id with
+  | None -> true
+  | Some ph -> ph.ph_fails < down_after || now >= ph.ph_retry_at
 
 let note_peer_ok t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.health id with
-      | None -> ()
-      | Some ph -> ph.ph_fails <- 0)
+  match Hashtbl.find_opt t.health id with
+  | None -> ()
+  | Some ph -> ph.ph_fails <- 0
 
 let note_peer_error t id now =
-  with_lock t (fun () ->
-      let ph =
-        match Hashtbl.find_opt t.health id with
-        | Some ph -> ph
-        | None ->
-            let ph = { ph_fails = 0; ph_retry_at = 0.0 } in
-            Hashtbl.replace t.health id ph;
-            ph
-      in
-      ph.ph_fails <- ph.ph_fails + 1;
-      if ph.ph_fails >= down_after then ph.ph_retry_at <- now +. cooldown_s)
+  let ph =
+    match Hashtbl.find_opt t.health id with
+    | Some ph -> ph
+    | None ->
+        let ph = { ph_fails = 0; ph_retry_at = 0.0 } in
+        Hashtbl.replace t.health id ph;
+        ph
+  in
+  ph.ph_fails <- ph.ph_fails + 1;
+  if ph.ph_fails >= down_after then ph.ph_retry_at <- now +. cooldown_s
 
 let send_to t it target =
   let now = Unix.gettimeofday () in
@@ -116,11 +113,11 @@ let send_to t it target =
     M.incr m_skipped
   end
   else
-    match with_lock t (fun () -> List.assoc_opt target t.pools) with
+    match List.assoc_opt target t.pools with
     | None -> Atomic.incr t.c_errors
     | Some pool -> (
         match
-          Pool.with_client pool (fun c ->
+          Upstream.with_client pool (fun c ->
               Net.Client.cache_push c (cache_push_of_item it))
         with
         | Ok admitted ->
@@ -137,22 +134,36 @@ let send_to t it target =
             Atomic.incr t.c_errors;
             M.incr m_errors)
 
+(* the key's first R-1 distinct ring successors after this shard —
+   under R total copies, where every replica of the key belongs *)
 let send_one t it =
-  let ring, extra = with_lock t (fun () -> (t.ring, t.replicas - 1)) in
-  (* the key's first R-1 distinct ring successors after this shard —
-     under R total copies, where every replica of the key belongs *)
-  let targets = Ring.successors ring t.self ~key:it.it_key ~n:extra in
-  List.iter (fun target -> send_to t it target) targets
+  Ring.successors t.ring t.self ~key:it.it_key ~n:(t.replicas - 1)
+  |> List.iter (fun target -> send_to t it target)
 
-let sender_loop t =
-  let rec go () =
-    match Service.Bounded_queue.pop t.queue with
-    | None -> () (* closed and drained *)
-    | Some it ->
-        (try send_one t it with _ -> Atomic.incr t.c_errors);
-        go ()
-  in
-  go ()
+(* The sender fiber lives exactly while the queue is non-empty, so an
+   idle replicator holds no fiber and never keeps its loop from
+   finishing; entries queued when the loop drains are still sent. *)
+let rec send_queued t =
+  match Queue.take_opt t.queue with
+  | None -> t.sending <- false
+  | Some it ->
+      (try send_one t it with _ -> Atomic.incr t.c_errors);
+      send_queued t
+
+let count_dropped t =
+  Atomic.incr t.c_dropped;
+  M.incr m_dropped
+
+(* on the loop, outside a fiber *)
+let enqueue t it =
+  if Queue.length t.queue >= t.capacity then count_dropped t
+  else begin
+    Queue.push it t.queue;
+    if not t.sending then begin
+      t.sending <- true;
+      ignore (Aio.spawn_on t.loop (fun () -> send_queued t))
+    end
+  end
 
 let make_pools ~timeout_s ~self peers =
   peers
@@ -167,45 +178,41 @@ let make_pools ~timeout_s ~self peers =
              max_attempts = 2;
            }
          in
-         (s.Membership.sh_id, Pool.create ~max_idle:2 cfg))
+         (s.Membership.sh_id, Upstream.create ~max_idle:2 cfg))
 
 let create ?(vnodes = 64) ?(queue_capacity = 256) ?(timeout_s = 5.0)
-    ?(replicas = 2) ~self ~peers () =
+    ?(replicas = 2) ~self ~peers loop =
   let ids = List.map (fun s -> s.Membership.sh_id) peers in
-  let t =
-    {
-      self;
-      replicas = max 1 replicas;
-      vnodes;
-      timeout_s;
-      mutex = Mutex.create ();
-      ring = Ring.make ~vnodes ids;
-      pools = make_pools ~timeout_s ~self peers;
-      health = Hashtbl.create 8;
-      export = None;
-      gc = None;
-      queue = Service.Bounded_queue.create ~capacity:(max 1 queue_capacity);
-      c_pushed = Atomic.make 0;
-      c_admitted = Atomic.make 0;
-      c_rejected = Atomic.make 0;
-      c_dropped = Atomic.make 0;
-      c_errors = Atomic.make 0;
-      c_skipped = Atomic.make 0;
-      sender = None;
-    }
-  in
-  t.sender <- Some (Thread.create sender_loop t);
-  t
+  {
+    self;
+    replicas = max 1 replicas;
+    vnodes;
+    timeout_s;
+    loop;
+    ring = Ring.make ~vnodes ids;
+    pools = make_pools ~timeout_s ~self peers;
+    health = Hashtbl.create 8;
+    export = None;
+    gc = None;
+    queue = Queue.create ();
+    capacity = max 1 queue_capacity;
+    sending = false;
+    c_pushed = Atomic.make 0;
+    c_admitted = Atomic.make 0;
+    c_rejected = Atomic.make 0;
+    c_dropped = Atomic.make 0;
+    c_errors = Atomic.make 0;
+    c_skipped = Atomic.make 0;
+  }
 
+(* worker domains hand the item to the loop; once the loop has
+   finished nothing can send it, so it is counted as dropped *)
 let push t ~key ~digest payload =
   let it = { it_key = key; it_digest = digest; it_payload = payload } in
-  if not (Service.Bounded_queue.try_push t.queue it) then begin
-    Atomic.incr t.c_dropped;
-    M.incr m_dropped
-  end
+  if not (Aio.post t.loop (fun () -> enqueue t it)) then count_dropped t
 
-let set_export t f = with_lock t (fun () -> t.export <- Some f)
-let set_gc t f = with_lock t (fun () -> t.gc <- Some f)
+let set_export t f = t.export <- Some f
+let set_gc t f = t.gc <- Some f
 
 (* does [self] still back [key] under [ring]?  A shard backs a key when
    it is the owner or one of the first [replicas - 1] distinct
@@ -214,32 +221,27 @@ let set_gc t f = with_lock t (fun () -> t.gc <- Some f)
 let backs ring ~self ~replicas key =
   List.mem self (Ring.route ring key ~n:replicas)
 
+let close_pools t = List.iter (fun (_, p) -> Upstream.close p) t.pools
+
 let set_members t peers =
-  let old_pools =
-    with_lock t (fun () ->
-        let ids = List.map (fun s -> s.Membership.sh_id) peers in
-        t.ring <- Ring.make ~vnodes:t.vnodes ids;
-        let old = t.pools in
-        t.pools <- make_pools ~timeout_s:t.timeout_s ~self:t.self peers;
-        Hashtbl.reset t.health;
-        old)
-  in
-  List.iter (fun (_, p) -> Pool.close_all p) old_pools;
+  let ids = List.map (fun s -> s.Membership.sh_id) peers in
+  t.ring <- Ring.make ~vnodes:t.vnodes ids;
+  close_pools t;
+  t.pools <- make_pools ~timeout_s:t.timeout_s ~self:t.self peers;
+  Hashtbl.reset t.health;
   (* replica GC first: entries this shard held as a successor but no
      longer backs under the new ring are dropped before the re-export
      below, so an ex-successor neither re-pushes nor keeps serving
      entries that now belong elsewhere *)
-  let ring, gc = with_lock t (fun () -> (t.ring, t.gc)) in
-  (match gc with
+  (match t.gc with
   | None -> ()
   | Some f ->
-      ignore (f ~keep:(backs ring ~self:t.self ~replicas:t.replicas)));
+      ignore (f ~keep:(backs t.ring ~self:t.self ~replicas:t.replicas)));
   (* re-replication: placement moved under the new ring, so every
      resident entry is re-queued once.  Receivers re-verify and
      deduplicate (an entry already resident is just re-admitted), and
      this is a one-shot pass, not hook-driven — no ping-pong. *)
-  let export = with_lock t (fun () -> t.export) in
-  match export with
+  match t.export with
   | None -> ()
   | Some f ->
       List.iter
@@ -258,11 +260,6 @@ let counts t =
     skipped_down = Atomic.get t.c_skipped;
   }
 
+(* on the loop while it runs; at once after it has finished *)
 let stop t =
-  Service.Bounded_queue.close t.queue;
-  (match t.sender with
-  | None -> ()
-  | Some th ->
-      t.sender <- None;
-      Thread.join th);
-  List.iter (fun (_, p) -> Pool.close_all p) t.pools
+  if not (Aio.post t.loop (fun () -> close_pools t)) then close_pools t

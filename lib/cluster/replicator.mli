@@ -13,9 +13,17 @@
     that computed the result.  The receiving shard re-verifies the
     checksum before admitting ({!Service.Server.admit_replica}).
 
+    {b Loop.}  The queue, the ring and the connection pools belong to
+    one {!Aio} loop (a shard's {!Net.Server.loop}).  A sender fiber
+    lives on it exactly while the queue is non-empty, sending over
+    {!Upstream} pools of fiber connections, so an idle replicator holds
+    no fiber and adds no thread.  While entries are queued the fiber
+    keeps the loop, and so the server's drain, running: entries queued
+    at drain are still sent or counted.
+
     {b Target health.}  A target that keeps eating transport errors is
     held down and skipped (counted in [skipped_down]) until a short
-    cooldown expires, so pushes aimed at a dead shard stop burning pool
+    cooldown expires, so pushes aimed at a dead shard stop burning
     connections.
 
     {b Topology changes.}  {!set_members} swaps the ring and the pools
@@ -31,7 +39,8 @@ type counts = {
   pushed : int;  (** frames sent and acked (admitted or not) *)
   admitted : int;  (** acks that reported admission *)
   rejected : int;  (** acks that reported rejection *)
-  dropped : int;  (** queue-full drops (never sent) *)
+  dropped : int;
+      (** never sent: the queue was full or the loop had finished *)
   errors : int;  (** transport failures (peer unreachable) *)
   skipped_down : int;  (** pushes skipped because the target was held down *)
 }
@@ -43,9 +52,10 @@ val create :
   ?replicas:int ->
   self:string ->
   peers:Membership.shard list ->
-  unit ->
+  Aio.t ->
   t
-(** [peers] is the full cluster (this shard included; it is skipped as
+(** A replicator sending from the given loop, which the caller runs.
+    [peers] is the full cluster (this shard included; it is skipped as
     a replica target).  [vnodes] (default 64) must match the proxy's.
     [queue_capacity] (default 256) bounds the push backlog; [timeout_s]
     (default 5) bounds each push round trip.  [replicas] (default 2) is
@@ -55,29 +65,32 @@ val create :
 
 val push :
   t -> key:string -> digest:string -> Service.Server.payload -> unit
-(** Enqueue one entry for replication (non-blocking; drops + counts on
-    a full queue).  Shaped to partially apply as the server's
+(** Hand one entry to the loop for replication; any thread, never
+    blocks.  Counted as dropped on a full queue, or once the loop has
+    finished.  Shaped to partially apply as the server's
     [on_cache_fill] hook. *)
 
 val set_export :
   t -> (unit -> (string * string * Service.Server.payload) list) -> unit
 (** Wire the cache exporter used for re-replication on topology change:
     it returns every resident entry as [(key, digest, payload)]
-    (see {!Service.Server.export_cache}). *)
+    (see {!Service.Server.export_cache}).  Call it before the loop can
+    run {!set_members}. *)
 
 val set_gc : t -> (keep:(string -> bool) -> int) -> unit
 (** Wire the replica garbage collector (usually
-    [Service.Server.gc_replicas server]): on every {!set_members} it is
+    [Service.Server.gc_replicas server]; same timing as {!set_export}):
+    on every {!set_members} it is
     called with [keep key] true iff this shard still backs [key] —
     owner or one of the first [replicas - 1] distinct successors —
     under the {e new} ring, so ex-successors drop the replica entries
     they no longer own. *)
 
 val set_members : t -> Membership.shard list -> unit
-(** Replace the member set: rebuild the ring, swap the connection
-    pools, reset target health, and — when an exporter is wired —
-    re-queue every resident cache entry once so placement converges to
-    the new ring. *)
+(** On the loop: replace the member set — rebuild the ring, swap the
+    connection pools, reset target health, and, when an exporter is
+    wired, re-queue every resident cache entry once so placement
+    converges to the new ring. *)
 
 val replicas : t -> int
 (** The configured replication factor (total copies). *)
@@ -85,6 +98,6 @@ val replicas : t -> int
 val counts : t -> counts
 
 val stop : t -> unit
-(** Drain the queue, stop the sender thread, close the connections.
-    Entries still queued are sent before it returns (peers permitting;
-    unreachable peers just count as errors).  Idempotent. *)
+(** Close the idle push connections: on the loop while it runs, at once
+    after it has finished.  Any thread; idempotent.  Queued entries are
+    not affected: the loop sends them before it finishes. *)

@@ -429,6 +429,9 @@ type acc = {
   mutable a_latencies : float list;
 }
 
+(* [conns] fibers on a private loop on the calling thread, each with
+   its own fiber connection, taking request indices from one counter.
+   Only the loop thread touches the counter and the accumulator. *)
 let drive cfg dcfg =
   let acc =
     {
@@ -443,70 +446,68 @@ let drive cfg dcfg =
       a_latencies = [];
     }
   in
-  let acc_mutex = Mutex.create () in
-  let record f =
-    Mutex.lock acc_mutex;
-    f acc;
-    Mutex.unlock acc_mutex
+  let next = ref 0 in
+  let take () =
+    let i = !next in
+    incr next;
+    if i < dcfg.requests then Some i else None
   in
-  let next = Atomic.make 0 in
+  let record a reply =
+    match reply with
+    | Wire.R_done { r_cached; _ } ->
+        a.a_done <- a.a_done + 1;
+        if r_cached then a.a_cached <- a.a_cached + 1
+    | Wire.R_failed _ -> a.a_failed <- a.a_failed + 1
+    | Wire.R_timeout -> a.a_timeout <- a.a_timeout + 1
+    | Wire.R_cancelled -> a.a_cancelled <- a.a_cancelled + 1
+    | Wire.R_overloaded -> a.a_overloaded <- a.a_overloaded + 1
+    | Wire.R_too_large _ -> a.a_too_large <- a.a_too_large + 1
+    | Wire.R_error _ -> a.a_errors <- a.a_errors + 1
+  in
   let worker () =
-    match connect cfg with
+    match connect_fiber cfg with
     | Error _ ->
         (* count every request this connection would have taken as a
            transport error, so the totals still add up *)
         let rec burn () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < dcfg.requests then begin
-            record (fun a -> a.a_errors <- a.a_errors + 1);
-            burn ()
-          end
+          match take () with
+          | Some _ ->
+              acc.a_errors <- acc.a_errors + 1;
+              burn ()
+          | None -> ()
         in
         burn ()
     | Ok client ->
         let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < dcfg.requests then begin
-            let req =
-              Service.Traffic.nth_request ~validate:dcfg.validate
-                ~target:dcfg.target
-                ~seed:dcfg.seed ~size_jitter:dcfg.size_jitter
-                ~batch:dcfg.batch i
-            in
-            let t0 = Unix.gettimeofday () in
-            (match
-               submit client ~name:req.Service.Server.req_name
-                 ~options:req.Service.Server.req_options
-                 req.Service.Server.req_source
-             with
-            | Ok reply ->
-                let dt = Unix.gettimeofday () -. t0 in
-                record (fun a ->
-                    a.a_latencies <- dt :: a.a_latencies;
-                    match reply with
-                    | Wire.R_done { r_cached; _ } ->
-                        a.a_done <- a.a_done + 1;
-                        if r_cached then a.a_cached <- a.a_cached + 1
-                    | Wire.R_failed _ -> a.a_failed <- a.a_failed + 1
-                    | Wire.R_timeout -> a.a_timeout <- a.a_timeout + 1
-                    | Wire.R_cancelled -> a.a_cancelled <- a.a_cancelled + 1
-                    | Wire.R_overloaded ->
-                        a.a_overloaded <- a.a_overloaded + 1
-                    | Wire.R_too_large _ ->
-                        a.a_too_large <- a.a_too_large + 1
-                    | Wire.R_error _ -> a.a_errors <- a.a_errors + 1)
-            | Error _ -> record (fun a -> a.a_errors <- a.a_errors + 1));
-            loop ()
-          end
+          match take () with
+          | None -> ()
+          | Some i ->
+              let req =
+                Service.Traffic.nth_request ~validate:dcfg.validate
+                  ~target:dcfg.target ~seed:dcfg.seed
+                  ~size_jitter:dcfg.size_jitter ~batch:dcfg.batch i
+              in
+              let t0 = Unix.gettimeofday () in
+              (match
+                 submit client ~name:req.Service.Server.req_name
+                   ~options:req.Service.Server.req_options
+                   req.Service.Server.req_source
+               with
+              | Ok reply ->
+                  acc.a_latencies <-
+                    (Unix.gettimeofday () -. t0) :: acc.a_latencies;
+                  record acc reply
+              | Error _ -> acc.a_errors <- acc.a_errors + 1);
+              loop ()
         in
         loop ();
         close client
   in
   let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init (max 1 dcfg.conns) (fun _ -> Thread.create worker ())
-  in
-  List.iter Thread.join threads;
+  Aio.run (Aio.create ()) (fun () ->
+      for _ = 1 to max 1 dcfg.conns do
+        ignore (Aio.spawn worker)
+      done);
   let wall = Unix.gettimeofday () -. t0 in
   let lat = Array.of_list acc.a_latencies in
   Array.sort compare lat;

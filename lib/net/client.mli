@@ -138,7 +138,8 @@ type drive_summary = {
 }
 
 val drive : cfg -> drive_cfg -> drive_summary
-(** Run the closed-loop generator: [conns] threads, each with its own
+(** Run the closed-loop generator: [conns] fibers on a private {!Aio}
+    loop on the calling thread, each with its own {!connect_fiber}
     connection, racing through the shared request sequence.  Returns
     when every request has a final disposition. *)
 

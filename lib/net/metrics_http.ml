@@ -1,15 +1,13 @@
 (* Minimal HTTP/1.0 endpoint for the Prometheus text dump.  One accept
-   thread, one short-lived connection per scrape: read the request head,
+   fiber, one short-lived connection per scrape: read the request head,
    answer with the dump, close.  Deliberately not a web server — just
    enough HTTP for `curl` and a Prometheus scraper. *)
 
 type t = {
   listen_fd : Unix.file_descr;
   bound_port : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
-  mutable thread : Thread.t option;
+  loop : Aio.t;
+  mutable accept_fiber : Aio.fiber option;  (* loop thread only *)
 }
 
 let http_response body =
@@ -22,70 +20,56 @@ let http_response body =
      %s"
     (String.length body) body
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let w = Unix.write fd b !off (n - !off) in
-    if w <= 0 then raise Exit;
-    off := !off + w
-  done
+let has_blank_line s =
+  let rec has i =
+    i + 4 <= String.length s && (String.sub s i 4 = "\r\n\r\n" || has (i + 1))
+  in
+  has 0
 
 (* Read until the blank line ending the request head (or 4 KiB, or the
    read deadline) — the request itself is ignored: every path serves the
    dump. *)
 let drain_request fd =
+  let deadline = Aio.now () +. 2.0 in
   let buf = Bytes.create 512 in
   let seen = Buffer.create 256 in
   let rec go () =
-    if Buffer.length seen < 4096 then
-      match Unix.read fd buf 0 (Bytes.length buf) with
-      | 0 -> ()
-      | n ->
+    if Buffer.length seen < 4096 && not (has_blank_line (Buffer.contents seen))
+    then
+      match Aio.read ~deadline fd buf 0 (Bytes.length buf) with
+      | `Data n ->
           Buffer.add_subbytes seen buf 0 n;
-          let s = Buffer.contents seen in
-          if
-            not
-              (String.length s >= 4
-              &&
-              let rec has i =
-                i + 4 <= String.length s
-                && (String.sub s i 4 = "\r\n\r\n" || has (i + 1))
-              in
-              has 0)
-          then go ()
-      | exception Unix.Unix_error _ -> ()
+          go ()
+      | `Eof | `Deadline -> ()
   in
   go ()
 
 let serve_one fd dump =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0
-   with Unix.Unix_error _ -> ());
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
-   with Unix.Unix_error _ -> ());
-  (try
-     drain_request fd;
-     write_all fd (http_response (dump ()))
-   with Exit | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  Fun.protect ~finally:(fun () ->
+      try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.set_nonblock fd;
+  drain_request fd;
+  let b = Bytes.unsafe_of_string (http_response (dump ())) in
+  ignore (Aio.write_all ~deadline:(Aio.now () +. 5.0) fd b 0 (Bytes.length b))
 
 let accept_loop t dump =
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop true
-    | ready, _, _ ->
-        if List.mem t.wake_r ready then ()
-        else if List.mem t.listen_fd ready then begin
-          match Unix.accept t.listen_fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop true
-          | fd, _ -> serve_one fd dump
-        end
-  done
+  Fun.protect ~finally:(fun () ->
+      try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  try
+    let rec loop () =
+      match Aio.accept t.listen_fd with
+      | `Conn (fd, _addr) ->
+          serve_one fd dump;
+          loop ()
+      | `Deadline -> loop ()
+      | `Error _ -> ()
+    in
+    loop ()
+  with Aio.Cancelled -> ()
 
-let start ?(host = "127.0.0.1") ~port dump =
+let start ?(host = "127.0.0.1") ~port loop dump =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   (try Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
@@ -93,31 +77,26 @@ let start ?(host = "127.0.0.1") ~port dump =
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise e);
   Unix.listen listen_fd 16;
+  Unix.set_nonblock listen_fd;
   let bound_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> port
   in
-  let wake_r, wake_w = Unix.pipe () in
-  let t =
-    { listen_fd; bound_port; wake_r; wake_w; stop = Atomic.make false;
-      thread = None }
+  let t = { listen_fd; bound_port; loop; accept_fiber = None } in
+  let spawn () =
+    t.accept_fiber <- Some (Aio.spawn_on loop (fun () -> accept_loop t dump))
   in
-  t.thread <- Some (Thread.create (fun () -> accept_loop t dump) ());
+  if not (Aio.post loop spawn) then begin
+    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+    invalid_arg "Metrics_http.start: the loop has finished"
+  end;
   t
 
 let port t = t.bound_port
 
+(* posts are FIFO, so the cancel always lands after [start]'s spawn *)
 let stop t =
-  if not (Atomic.exchange t.stop true) then begin
-    (try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-     with Unix.Unix_error _ -> ());
-    (match t.thread with
-    | Some th ->
-        Thread.join th;
-        t.thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    try Unix.close t.wake_w with Unix.Unix_error _ -> ()
-  end
+  ignore
+    (Aio.post t.loop (fun () ->
+         Option.iter (Aio.cancel_on t.loop) t.accept_fiber))

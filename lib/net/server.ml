@@ -109,6 +109,7 @@ type t = {
   mutable conns : conn list;  (* loop thread only *)
   mutable accept_fiber : Aio.fiber option;
   mutable loop_thread : Thread.t option;
+  mutable scrapes : Metrics_http.t list;  (* stopped at drain *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -628,6 +629,7 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
       conns = [];
       accept_fiber = None;
       loop_thread = None;
+      scrapes = [];
     }
   in
   t.loop_thread <-
@@ -641,15 +643,25 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
   t
 
 let port t = t.bound_port
+let loop t = t.sched
+
+let attach_metrics t ~port =
+  let ep =
+    Metrics_http.start ~host:t.cfg.host ~port t.sched (fun () ->
+        M.dump M.global)
+  in
+  t.scrapes <- ep :: t.scrapes;
+  ep
 
 let request_stop t =
   Atomic.set t.stop true;
   (* wake the accept fiber; posting is safe from any thread and a no-op
      once the loop has already finished *)
-  Aio.post t.sched (fun () ->
-      match t.accept_fiber with
-      | Some f -> Aio.cancel_on t.sched f
-      | None -> ())
+  ignore
+    (Aio.post t.sched (fun () ->
+         match t.accept_fiber with
+         | Some f -> Aio.cancel_on t.sched f
+         | None -> ()))
 
 let wait_stop t =
   while not (Atomic.get t.stop) do
@@ -662,12 +674,14 @@ let drain t =
     (* on the loop thread (so it cannot race handle_accept): stop the
        readers — no new requests — but keep the writers, so in-flight
        requests finish and their replies flush before the loop drains *)
-    Aio.post t.sched (fun () ->
-        List.iter
-          (fun c ->
-            try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ -> ())
-          t.conns);
+    ignore
+      (Aio.post t.sched (fun () ->
+           List.iter
+             (fun c ->
+               try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
+               with Unix.Unix_error _ -> ())
+             t.conns));
+    List.iter Metrics_http.stop t.scrapes;
     (match t.loop_thread with
     | Some th ->
         Thread.join th;

@@ -1,10 +1,13 @@
 (** The cedarnet TCP front-end: puts a {!Service.Server} on the network.
 
-    One accept thread plus a reader/responder thread pair per
-    connection.  Requests on one connection may be pipelined: the reader
-    admits each {!Wire.Submit} into the service pool without waiting for
-    earlier replies, and the responder streams results back in
-    submission order, each echoing its request id.
+    One event-loop thread runs every fiber: an accept fiber, plus a
+    reader, a responder and a writer fiber per connection.  Requests on
+    one connection may be pipelined: the reader admits each
+    {!Wire.Submit} into the service pool without waiting for earlier
+    replies, and the responder streams results back in submission
+    order, each echoing its request id.  Other fibers may share the
+    loop ({!loop}): a metrics endpoint ({!attach_metrics}) and a
+    shard's replication sender.
 
     {b Admission control.}  Two budgets shed load explicitly instead of
     queuing without bound: at most [max_conns] connections are served at
@@ -80,10 +83,21 @@ val wait_stop : t -> unit
 (** Block until {!request_stop} is called (signal path) or a
     {!Wire.Shutdown_req} frame arrives (wire path). *)
 
+val loop : t -> Aio.t
+(** The scheduler the event-loop thread runs.  Fibers posted onto it
+    keep {!drain} waiting until they finish. *)
+
+val attach_metrics : t -> port:int -> Metrics_http.t
+(** Serve the Prometheus dump of {!Obs.Metrics.global} over HTTP on
+    [port] (0 = ephemeral) of this server's host, from a fiber on
+    {!loop}.  {!drain} stops it.
+    @raise Unix.Unix_error when the address cannot be bound. *)
+
 val drain : t -> unit
 (** Graceful drain: stop accepting, shut the read side of every
-    connection (no new requests), let every in-flight request finish
-    and its reply flush, then join all connection threads.  Idempotent.
+    connection (no new requests), stop the metrics endpoints, let every
+    in-flight request finish and its reply flush, then wait for the
+    loop's last fiber to finish and its thread to exit.  Idempotent.
     The caller then runs {!Service.Server.shutdown} to flush stats. *)
 
 val connections_seen : t -> int

@@ -1054,12 +1054,12 @@ and serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk =
   in
   [ Ast.Do (h, { blk with Ast.body }) ]
 
-(* apply the transforms of a DOALL decision *)
+(* apply the transforms of a DOALL decision: induction-variable
+   substitution first, whose final values follow the loop whatever form
+   the mode gives it — serial included *)
 and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
     (h : Ast.do_header) (blk : Ast.block) (mode : Cost_model.mode) :
     Ast.stmt list =
-  let opts = ctx.opts in
-  (* 1. induction-variable substitution *)
   let h, blk, after_giv =
     List.fold_left
       (fun (h, blk, after) cf ->
@@ -1068,13 +1068,17 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
         | Some _ | None -> (h, blk, after))
       (h, blk, []) a.a_givs
   in
+  lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk mode @ after_giv
+
+and lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk mode =
+  let opts = ctx.opts in
   match mode with
   | Cost_model.Serial ->
       (* cost model preferred serial; still restructure inner loops *)
       serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk
   | Cost_model.Vector -> (
       match Transform.Vectorize.vectorize_loop h blk.Ast.body with
-      | Some stmts -> stmts @ after_giv
+      | Some stmts -> stmts
       | None -> serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk)
   | Cost_model.Xdoall_strip -> (
       let priv = List.map fst a.a_priv_scalars in
@@ -1086,10 +1090,10 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
           Transform.Stripmine.apply ~strip:opts.Options.strip ~cls:Ast.Xdoall
             ~private_scalars:priv h blk.Ast.body
       with
-      | Some s -> (s :: after_giv)
+      | Some s -> [ s ]
       | None ->
           (* fall back to plain *)
-          apply_doall ctx ~avail ~after_reads ~facts ~depth a h blk
+          lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk
             Cost_model.Xdoall_plain)
   | Cost_model.Cdoall_mode { vector_inner = true } -> (
       (* cluster-level stripmining: CDOALL over strips, vector body *)
@@ -1100,9 +1104,9 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
           Transform.Stripmine.apply ~strip:opts.Options.strip ~cls:Ast.Cdoall
             ~private_scalars:priv h blk.Ast.body
       with
-      | Some s -> s :: after_giv
+      | Some s -> [ s ]
       | None ->
-          apply_doall ctx ~avail ~after_reads ~facts ~depth a h blk
+          lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk
             (Cost_model.Cdoall_mode { vector_inner = false }))
   | Cost_model.Xdoall_plain | Cost_model.Cdoall_mode _
   | Cost_model.Sdo_cdo_mode _ ->
@@ -1158,7 +1162,7 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
             else Ast.Do (h', blk')
         | s -> s
       in
-      (final :: after_giv)
+      [ final ]
   | Cost_model.Doacross_mode _ ->
       (* not reached from the DOALL path *)
       serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk

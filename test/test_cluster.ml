@@ -473,6 +473,11 @@ let state_of m id =
   in
   st
 
+(* one probe pass, as the proxy's probe fiber runs it, on a one-shot
+   loop *)
+let probe_once m =
+  Aio.run (Aio.create ()) (fun () -> Cluster.Membership.probe_once m)
+
 let test_membership_transitions () =
   with_svc @@ fun svc ->
   let net = Net.Server.create Net.Server.default_cfg svc in
@@ -486,18 +491,16 @@ let test_membership_transitions () =
     ]
   in
   let m =
-    Cluster.Membership.create ~down_after:2 ~timeout_s:1.0 ~auto_probe:false
-      shards
+    Cluster.Membership.create ~down_after:2 ~timeout_s:1.0 shards
   in
-  Fun.protect ~finally:(fun () -> Cluster.Membership.stop m) @@ fun () ->
-  Cluster.Membership.probe_once m;
+  probe_once m;
   Alcotest.(check bool) "live shard up" true
     (state_of m "live" = Cluster.Membership.Up);
   Alcotest.(check bool) "dead shard suspect after one miss" true
     (state_of m "dead" = Cluster.Membership.Suspect);
   Alcotest.(check (list string)) "suspect still routable" [ "dead"; "live" ]
     (Ring.members (Cluster.Membership.ring m));
-  Cluster.Membership.probe_once m;
+  probe_once m;
   Alcotest.(check bool) "dead shard down after two" true
     (state_of m "dead" = Cluster.Membership.Down);
   Alcotest.(check (list string)) "down leaves the ring" [ "live" ]
@@ -530,10 +533,9 @@ let test_membership_ring_epoch () =
      transition, a resurrection, an add, a remove — never on a
      Suspect⇄Up flap, never on a refused change *)
   let m =
-    Cluster.Membership.create ~down_after:2 ~timeout_s:0.5 ~auto_probe:false
+    Cluster.Membership.create ~down_after:2 ~timeout_s:0.5
       [ mk_shard "a" (dead_port ()); mk_shard "b" (dead_port ()) ]
   in
-  Fun.protect ~finally:(fun () -> Cluster.Membership.stop m) @@ fun () ->
   Alcotest.(check int) "epoch starts at 1" 1 (Cluster.Membership.epoch m);
   Cluster.Membership.note_failure m "a";
   Alcotest.(check bool) "one miss suspects" true
@@ -599,13 +601,9 @@ let test_membership_flapping_probe_loss () =
   in
   let mk loss =
     Cluster.Membership.create ~down_after:2 ~timeout_s:1.0 ~seed:0xf1a9
-      ~auto_probe:false ~probe_loss:loss shards
+      ~probe_loss:loss shards
   in
   let lossy = mk 1.0 and clean = mk 0.0 in
-  Fun.protect ~finally:(fun () ->
-      Cluster.Membership.stop lossy;
-      Cluster.Membership.stop clean)
-  @@ fun () ->
   let last = ref (Cluster.Membership.epoch lossy) in
   let monotone ctx =
     let e = Cluster.Membership.epoch lossy in
@@ -614,7 +612,7 @@ let test_membership_flapping_probe_loss () =
   in
   Alcotest.(check int) "epoch starts at 1" 1 !last;
   for round = 1 to 3 do
-    Cluster.Membership.probe_once lossy;
+    probe_once lossy;
     Alcotest.(check bool)
       (Printf.sprintf "round %d: injected loss suspects both" round)
       true
@@ -629,9 +627,9 @@ let test_membership_flapping_probe_loss () =
       1 (Cluster.Membership.epoch lossy)
   done;
   (* drive the flap all the way down: now ownership moves, epoch bumps *)
-  Cluster.Membership.probe_once lossy;
+  probe_once lossy;
   monotone "suspect pass";
-  Cluster.Membership.probe_once lossy;
+  probe_once lossy;
   monotone "down pass";
   Alcotest.(check bool) "down transitions moved the epoch" true
     (Cluster.Membership.epoch lossy > 1);
@@ -645,7 +643,7 @@ let test_membership_flapping_probe_loss () =
        "\"epoch\"");
   (* control: same servers, no injected loss *)
   for _ = 1 to 3 do
-    Cluster.Membership.probe_once clean
+    probe_once clean
   done;
   Alcotest.(check bool) "clean view keeps both up" true
     (state_of clean "l1" = Cluster.Membership.Up
@@ -665,22 +663,32 @@ let test_pool_roundtrips () =
     { (Net.Client.default_cfg ~port:(Net.Server.port net)) with
       Net.Client.max_attempts = 1 }
   in
-  let pool = Cluster.Pool.create ~max_idle:2 cfg in
-  Fun.protect ~finally:(fun () -> Cluster.Pool.close_all pool) @@ fun () ->
-  (match Cluster.Pool.with_client pool Net.Client.ping with
+  let pool = Cluster.Upstream.create ~max_idle:2 cfg in
+  (* the pool is loop-local: every round trip runs on one fiber loop *)
+  Aio.run (Aio.create ()) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Cluster.Upstream.close pool) @@ fun () ->
+  (match Cluster.Upstream.with_client pool Net.Client.ping with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "first checkout: %s" e);
+  Alcotest.(check int) "connection returned to the idle list" 1
+    (Cluster.Upstream.idle pool);
   (* an Error from the body poisons that connection but not the pool *)
-  (match Cluster.Pool.with_client pool (fun _ -> Error "poisoned") with
+  (match Cluster.Upstream.with_client pool (fun _ -> Error "poisoned") with
   | Error "poisoned" -> ()
   | _ -> Alcotest.fail "body error must propagate verbatim");
-  (match Cluster.Pool.with_client pool Net.Client.ping with
+  Alcotest.(check int) "poisoned connection closed, not kept" 0
+    (Cluster.Upstream.idle pool);
+  (match Cluster.Upstream.with_client pool Net.Client.ping with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "pool did not recover: %s" e);
-  Cluster.Pool.close_all pool;
-  match Cluster.Pool.with_client pool Net.Client.ping with
+  Cluster.Upstream.close pool;
+  Alcotest.(check int) "close empties the idle list" 0
+    (Cluster.Upstream.idle pool);
+  (match Cluster.Upstream.with_client pool Net.Client.ping with
   | Ok _ -> ()  (* closed pools still dial one-shot connections *)
-  | Error e -> Alcotest.failf "post-close checkout: %s" e
+  | Error e -> Alcotest.failf "post-close checkout: %s" e);
+  Alcotest.(check int) "closed pools keep nothing" 0
+    (Cluster.Upstream.idle pool)
 
 (* ------------------------------------------------------------------ *)
 (* Replicator: factor, target health, topology convergence             *)
@@ -698,6 +706,19 @@ let replica_entries prefix n =
       (Printf.sprintf "%s-%d" prefix i, Service.Cache.digest text,
        replica_payload text))
 
+(* push [entries] from this thread, then run the replicator's loop: it
+   finishes once the sender fiber has emptied the queue *)
+let replicate mk entries =
+  let sched = Aio.create () in
+  let r = mk sched in
+  List.iter
+    (fun (key, digest, payload) ->
+      Cluster.Replicator.push r ~key ~digest payload)
+    entries;
+  Aio.run sched ignore;
+  Cluster.Replicator.stop r;
+  r
+
 let test_replicator_fanout () =
   (* R = 3 over three shards: every fill lands on both non-self peers,
      so either peer alone can serve the key warm; R = 1 pushes nothing *)
@@ -705,12 +726,9 @@ let test_replicator_fanout () =
   with_live_shard "c" @@ fun svc_c shard_c ->
   let peers = [ mk_shard "a" (dead_port ()); shard_b; shard_c ] in
   let entries = replica_entries "fan" 6 in
-  let r = Cluster.Replicator.create ~replicas:3 ~self:"a" ~peers () in
-  List.iter
-    (fun (key, digest, payload) ->
-      Cluster.Replicator.push r ~key ~digest payload)
-    entries;
-  Cluster.Replicator.stop r (* stop drains the queue *);
+  let r =
+    replicate (Cluster.Replicator.create ~replicas:3 ~self:"a" ~peers) entries
+  in
   let c = Cluster.Replicator.counts r in
   Alcotest.(check int) "R=3 pushes every entry to both peers" 12
     c.Cluster.Replicator.pushed;
@@ -722,13 +740,10 @@ let test_replicator_fanout () =
     (Service.Server.stats svc_b).Service.Stats.replica_admitted;
   Alcotest.(check int) "c holds all six" 6
     (Service.Server.stats svc_c).Service.Stats.replica_admitted;
-  let r1 = Cluster.Replicator.create ~replicas:1 ~self:"a" ~peers () in
+  let r1 =
+    replicate (Cluster.Replicator.create ~replicas:1 ~self:"a" ~peers) entries
+  in
   Alcotest.(check int) "factor accessor" 1 (Cluster.Replicator.replicas r1);
-  List.iter
-    (fun (key, digest, payload) ->
-      Cluster.Replicator.push r1 ~key ~digest payload)
-    entries;
-  Cluster.Replicator.stop r1;
   let c1 = Cluster.Replicator.counts r1 in
   Alcotest.(check int) "R=1 disables replication outright" 0
     (c1.Cluster.Replicator.pushed + c1.Cluster.Replicator.errors
@@ -739,12 +754,11 @@ let test_replicator_skips_down_target () =
      down_after consecutive failures: later pushes are skipped (and
      counted) instead of burning connections on a dead shard *)
   let peers = [ mk_shard "a" (dead_port ()); mk_shard "d" (dead_port ()) ] in
-  let r = Cluster.Replicator.create ~timeout_s:0.5 ~self:"a" ~peers () in
-  List.iter
-    (fun (key, digest, payload) ->
-      Cluster.Replicator.push r ~key ~digest payload)
-    (replica_entries "down" 5);
-  Cluster.Replicator.stop r;
+  let r =
+    replicate
+      (Cluster.Replicator.create ~timeout_s:0.5 ~self:"a" ~peers)
+      (replica_entries "down" 5)
+  in
   let c = Cluster.Replicator.counts r in
   Alcotest.(check int) "nothing ever lands" 0
     (c.Cluster.Replicator.pushed + c.Cluster.Replicator.admitted);
@@ -767,11 +781,15 @@ let test_replicator_reexports_on_set_members () =
      resident entry onto the new ring without recomputation *)
   with_live_shard "b" @@ fun svc_b shard_b ->
   let self = mk_shard "a" (dead_port ()) in
-  let r = Cluster.Replicator.create ~self:"a" ~peers:[ self ] () in
+  let sched = Aio.create () in
+  let r = Cluster.Replicator.create ~self:"a" ~peers:[ self ] sched in
   Fun.protect ~finally:(fun () -> Cluster.Replicator.stop r) @@ fun () ->
   let entries = replica_entries "conv" 4 in
   Cluster.Replicator.set_export r (fun () -> entries);
-  Cluster.Replicator.set_members r [ self; shard_b ];
+  (* set_members runs on the loop, as a shard's topology frames do;
+     the loop then finishes once the re-export is sent *)
+  Aio.run sched (fun () ->
+      Cluster.Replicator.set_members r [ self; shard_b ]);
   let admitted () =
     (Service.Server.stats svc_b).Service.Stats.replica_admitted
   in
@@ -863,11 +881,14 @@ let test_replicator_gc_on_topology_change () =
     [ lost; kept ];
   let peers3 = List.map (fun id -> mk_shard id (dead_port ())) ids3 in
   let peers4 = List.map (fun id -> mk_shard id (dead_port ())) ids4 in
-  let r = Cluster.Replicator.create ~replicas:2 ~self:"a" ~peers:peers3 () in
+  let sched = Aio.create () in
+  let r =
+    Cluster.Replicator.create ~replicas:2 ~self:"a" ~peers:peers3 sched
+  in
   Fun.protect ~finally:(fun () -> Cluster.Replicator.stop r) @@ fun () ->
   Cluster.Replicator.set_gc r (fun ~keep ->
       Service.Server.gc_replicas svc ~keep);
-  Cluster.Replicator.set_members r peers4;
+  Aio.run sched (fun () -> Cluster.Replicator.set_members r peers4);
   let keys = resident_keys svc in
   Alcotest.(check bool) "no-longer-backed replica dropped" false
     (List.mem lost keys);
@@ -915,7 +936,9 @@ let with_cluster ?(n = 3) ?(replicate = false) f =
     List.iter
       (fun h ->
         h.h_repl :=
-          Some (Cluster.Replicator.create ~self:h.h_id ~peers:shards ()))
+          Some
+            (Cluster.Replicator.create ~self:h.h_id ~peers:shards
+               (Net.Server.loop h.h_net)))
       handles;
   let proxy = Cluster.Proxy.create ~probe_ms:100.0 ~down_after:2 shards in
   Fun.protect
@@ -923,10 +946,8 @@ let with_cluster ?(n = 3) ?(replicate = false) f =
       Cluster.Proxy.drain proxy;
       List.iter
         (fun h ->
-          (match !(h.h_repl) with
-          | Some r -> Cluster.Replicator.stop r
-          | None -> ());
           Net.Server.drain h.h_net;
+          Option.iter Cluster.Replicator.stop !(h.h_repl);
           ignore (Service.Server.shutdown h.h_svc))
         handles)
     (fun () -> f proxy handles)
@@ -1089,10 +1110,8 @@ let with_extra_shard id f =
   let h_net = Net.Server.create Net.Server.default_cfg h_svc in
   Fun.protect
     ~finally:(fun () ->
-      (match !h_repl with
-      | Some r -> Cluster.Replicator.stop r
-      | None -> ());
       Net.Server.drain h_net;
+      Option.iter Cluster.Replicator.stop !h_repl;
       ignore (Service.Server.shutdown h_svc))
     (fun () -> f { h_id = id; h_svc; h_net; h_repl })
 
@@ -1496,9 +1515,50 @@ let os_threads () =
   in
   settle (count ()) 40
 
+(* the largest thread count seen while [f] runs, over the settled count
+   before it; the sampler thread is part of both *)
+let threads_added_during f =
+  let count () = Array.length (Sys.readdir "/proc/self/task") in
+  let sampling = Atomic.make true and peak = Atomic.make 0 in
+  let sampler =
+    Thread.create
+      (fun () ->
+        while Atomic.get sampling do
+          Atomic.set peak (max (Atomic.get peak) (count ()));
+          Thread.delay 0.002
+        done)
+      ()
+  in
+  let before = os_threads () in
+  let v = f () in
+  Atomic.set sampling false;
+  Thread.join sampler;
+  (v, Atomic.get peak - before)
+
+(* one HTTP GET on a blocking socket; the whole response *)
+let scrape port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec slurp () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        slurp ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  slurp ();
+  Buffer.contents buf
+
 let test_proxy_thread_count () =
-  (* the proxy's threads are its event loop and the membership prober;
-     no pool of upstream threads, however many relays are in flight *)
+  (* the proxy's one thread is its event loop: the prober and the
+     metrics endpoint are fibers on it, and there is no pool of
+     upstream threads, however many relays are in flight *)
   with_svc @@ fun svc ->
   let net = Net.Server.create Net.Server.default_cfg svc in
   Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
@@ -1510,10 +1570,116 @@ let test_proxy_thread_count () =
     Cluster.Proxy.create ~probe_ms:10_000.0 [ mk_shard "a" (Net.Server.port net) ]
   in
   Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let ep = Cluster.Proxy.attach_metrics proxy ~port:0 in
   with_proxy_client proxy (fun client ->
       submit_done client ~name:"threads" saxpy_source);
-  Alcotest.(check int) "Proxy.create adds the loop and the prober" 2
+  Alcotest.(check bool) "the proxy serves its metrics" true
+    (contains (scrape (Net.Metrics_http.port ep)) "cluster_");
+  Alcotest.(check int) "Proxy.create adds the loop only" 1
     (os_threads () - before)
+
+let test_fiber_helpers_add_no_thread () =
+  (* a shard's replicator and metrics endpoint ride its server's loop *)
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
+  Thread.join (Thread.create ignore ());
+  let before = os_threads () in
+  let r =
+    Cluster.Replicator.create ~self:"a"
+      ~peers:[ mk_shard "a" (Net.Server.port net); mk_shard "b" (dead_port ()) ]
+      (Net.Server.loop net)
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Replicator.stop r) @@ fun () ->
+  Alcotest.(check int) "Replicator.create adds no thread" 0
+    (os_threads () - before);
+  let ep =
+    Net.Metrics_http.start ~port:0 (Net.Server.loop net) (fun () ->
+        "cedar_up 1\n")
+  in
+  Fun.protect ~finally:(fun () -> Net.Metrics_http.stop ep) @@ fun () ->
+  Alcotest.(check bool) "the endpoint answers" true
+    (contains (scrape (Net.Metrics_http.port ep)) "cedar_up 1");
+  Alcotest.(check int) "Metrics_http.start adds no thread" 0
+    (os_threads () - before)
+
+let test_server_drain_with_fiber_helpers () =
+  (* a metrics endpoint and a replicator with pushes queued for an
+     unreachable peer share the server's loop; drain cancels the one
+     and waits for the other only as long as its sends take *)
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  let drained = ref false in
+  Fun.protect ~finally:(fun () -> if not !drained then Net.Server.drain net)
+  @@ fun () ->
+  let ep = Net.Server.attach_metrics net ~port:0 in
+  Alcotest.(check bool) "the endpoint serves the registry" true
+    (contains (scrape (Net.Metrics_http.port ep)) "net_");
+  let timeout_s = 0.5 in
+  let r =
+    Cluster.Replicator.create ~timeout_s ~self:"a"
+      ~peers:[ mk_shard "a" (Net.Server.port net); mk_shard "d" (dead_port ()) ]
+      (Net.Server.loop net)
+  in
+  let n = 8 in
+  List.iter
+    (fun (key, digest, payload) ->
+      Cluster.Replicator.push r ~key ~digest payload)
+    (replica_entries "drain" n);
+  let t0 = Unix.gettimeofday () in
+  Net.Server.drain net;
+  drained := true;
+  let dt = Unix.gettimeofday () -. t0 in
+  Cluster.Replicator.stop r;
+  Alcotest.(check bool)
+    (Printf.sprintf "drain returned in %.2fs" dt)
+    true
+    (dt < timeout_s +. 1.0);
+  let c = Cluster.Replicator.counts r in
+  Alcotest.(check int) "every queued push sent or counted" n
+    (c.Cluster.Replicator.pushed + c.Cluster.Replicator.errors
+   + c.Cluster.Replicator.skipped_down + c.Cluster.Replicator.dropped);
+  Cluster.Replicator.push r ~key:"late" ~digest:"d"
+    (replica_payload "      END\n");
+  Alcotest.(check int) "a push after the loop finished counts as dropped"
+    (c.Cluster.Replicator.dropped + 1)
+    (Cluster.Replicator.counts r).Cluster.Replicator.dropped
+
+let test_drive_fibers () =
+  (* Net.Client.drive runs its connections as fibers on the calling
+     thread *)
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
+  Thread.join (Thread.create ignore ());
+  let dcfg =
+    { Net.Client.default_drive_cfg with Net.Client.requests = 24; conns = 4 }
+  in
+  let s, added =
+    threads_added_during (fun () ->
+        Net.Client.drive (Net.Client.default_cfg ~port:(Net.Server.port net)) dcfg)
+  in
+  let answered =
+    s.Net.Client.d_done + s.Net.Client.d_failed + s.Net.Client.d_timeout
+    + s.Net.Client.d_cancelled + s.Net.Client.d_overloaded
+    + s.Net.Client.d_too_large
+  in
+  Alcotest.(check int) "dispositions sum to requests" 24
+    (answered + s.Net.Client.d_errors);
+  Alcotest.(check int) "no transport errors" 0 s.Net.Client.d_errors;
+  Alcotest.(check int) "one latency per reply" answered
+    (Array.length s.Net.Client.d_latencies);
+  Alcotest.(check int) "drive adds no thread" 0 added;
+  let closed =
+    Net.Client.drive
+      { (Net.Client.default_cfg ~port:(dead_port ())) with
+        Net.Client.max_attempts = 1 }
+      dcfg
+  in
+  Alcotest.(check int) "closed port: every request a transport error" 24
+    closed.Net.Client.d_errors;
+  Alcotest.(check int) "closed port: no latencies" 0
+    (Array.length closed.Net.Client.d_latencies)
 
 let test_proxy_read_repair_bounded () =
   (* every warm hit lands off-owner (the owner sheds everything), so
@@ -1644,8 +1810,14 @@ let tests =
       `Slow test_proxy_stale_idle_upstream;
     Alcotest.test_case "proxy: silent shard times out, drain stays prompt"
       `Slow test_proxy_silent_shard_times_out;
-    Alcotest.test_case "proxy: adds two OS threads, loop and prober" `Slow
+    Alcotest.test_case "proxy: adds one OS thread, the loop" `Slow
       test_proxy_thread_count;
+    Alcotest.test_case "fibers: replicator and metrics endpoint add no thread"
+      `Quick test_fiber_helpers_add_no_thread;
+    Alcotest.test_case "fibers: drain with a metrics endpoint and queued pushes"
+      `Quick test_server_drain_with_fiber_helpers;
+    Alcotest.test_case "drive: fibers, counts add up, closed port, no thread"
+      `Quick test_drive_fibers;
     Alcotest.test_case "proxy: read-repair shares the in-flight budget"
       `Slow test_proxy_read_repair_bounded;
   ]

@@ -531,8 +531,45 @@ let prop_roundtrip =
       in
       Ast.equal_program (List.map strip prog) (List.map strip p2))
 
+(* Regression (QCHECK_SEED=255137654, shrunk): GIV substitution deletes
+   [t = c(i1+1) - 2 + t] from the i2 loop, whose cost model then keeps
+   it serial; the final value [t = t + (c(i1+1)-2)*6] must still follow
+   the loop, or [t] ends 144 short. *)
+let giv_serial_source =
+  {|      PROGRAM GIVSER
+      INTEGER c(10), e(10)
+      DO i1 = 1, 10
+        c(i1) = 3*i1 + 2
+        e(i1) = i1
+      enddo
+      s = 3
+      t = 4
+      u = 5
+      DO i1 = 4, 7
+        DO i2 = 4, 7
+          t = s
+        enddo
+        DO i2 = 3, 8
+          e(i1 - 1) = e(i1 - 1) + max(i2, i1)
+          t = c(i1 + 1) - 2 + t
+          s = max(max(u, 8), t)
+        enddo
+      enddo
+      print *, s, t, u
+      END
+|}
+
+let test_giv_serial_final_value () =
+  let prog = Parser.parse_program giv_serial_source in
+  let serial = run_prog prog in
+  Alcotest.(check string) "serial output" "471 471 5 \n" serial;
+  Alcotest.(check bool) "advanced restructuring keeps t's final value" true
+    (preserves ~prop:"giv-serial" (R.Options.advanced cedar) prog)
+
 let tests =
   [
+    Alcotest.test_case "fuzz: GIV final value written when the loop stays serial"
+      `Quick test_giv_serial_final_value;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_roundtrip;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_auto;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_advanced;

@@ -1046,43 +1046,55 @@ let test_idle_flood_byte_identical () =
         idle)
 
 let test_metrics_http () =
+  (* the endpoint is a fiber on the loop this thread runs; a client
+     thread scrapes it, then stops it, which lets the loop finish *)
+  let sched = Aio.create () in
   let ep =
-    Net.Metrics_http.start ~port:0 (fun () -> "cedar_up 1\n")
+    Net.Metrics_http.start ~port:0 sched (fun () -> "cedar_up 1\n")
   in
-  Fun.protect
-    ~finally:(fun () -> Net.Metrics_http.stop ep)
-    (fun () ->
-      let fd = connect_raw (Net.Metrics_http.port ep) in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let req = "GET /metrics HTTP/1.0\r\n\r\n" in
-          ignore (Unix.write_substring fd req 0 (String.length req));
-          let buf = Buffer.create 256 in
-          let chunk = Bytes.create 256 in
-          let rec slurp () =
-            match Unix.read fd chunk 0 256 with
-            | 0 -> ()
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                slurp ()
-            | exception Unix.Unix_error _ -> ()
-          in
-          slurp ();
-          let response = Buffer.contents buf in
-          Alcotest.(check bool) "200 OK" true
-            (String.length response >= 15
-            && String.sub response 0 15 = "HTTP/1.0 200 OK");
-          let has_body =
-            let needle = "cedar_up 1" in
-            let rec find i =
-              i + String.length needle <= String.length response
-              && (String.sub response i (String.length needle) = needle
-                 || find (i + 1))
-            in
-            find 0
-          in
-          Alcotest.(check bool) "body served" true has_body))
+  let response = ref "" in
+  let scraper =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Net.Metrics_http.stop ep)
+          (fun () ->
+            let fd = connect_raw (Net.Metrics_http.port ep) in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+                ignore (Unix.write_substring fd req 0 (String.length req));
+                let buf = Buffer.create 256 in
+                let chunk = Bytes.create 256 in
+                let rec slurp () =
+                  match Unix.read fd chunk 0 256 with
+                  | 0 -> ()
+                  | n ->
+                      Buffer.add_subbytes buf chunk 0 n;
+                      slurp ()
+                  | exception Unix.Unix_error _ -> ()
+                in
+                slurp ();
+                response := Buffer.contents buf)))
+      ()
+  in
+  Aio.run sched ignore;
+  Thread.join scraper;
+  let response = !response in
+  Alcotest.(check bool) "200 OK" true
+    (String.length response >= 15
+    && String.sub response 0 15 = "HTTP/1.0 200 OK");
+  let has_body =
+    let needle = "cedar_up 1" in
+    let rec find i =
+      i + String.length needle <= String.length response
+      && (String.sub response i (String.length needle) = needle
+         || find (i + 1))
+    in
+    find 0
+  in
+  Alcotest.(check bool) "body served" true has_body
 
 let test_client_connect_fast_fail () =
   (* a dead port fails within the backoff schedule, not a kernel-default

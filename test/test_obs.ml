@@ -736,13 +736,12 @@ let test_metrics_dump_golden () =
 
 let test_members_view_parses () =
   let m =
-    Cluster.Membership.create ~auto_probe:false
+    Cluster.Membership.create
       [
         { Cluster.Membership.sh_id = "a"; sh_host = "h\"x\\y"; sh_port = 1 };
         { Cluster.Membership.sh_id = "b.2"; sh_host = "127.0.0.1"; sh_port = 2 };
       ]
   in
-  Fun.protect ~finally:(fun () -> Cluster.Membership.stop m) @@ fun () ->
   let j =
     parse_ok "members JSON"
       (Obs.Json.to_string (Cluster.Membership.members_json m))
