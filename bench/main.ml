@@ -76,16 +76,14 @@ let micro () =
    deltas of the cumulative sums bracket one traffic pass *)
 let phase_names = [ "parse"; "restructure"; "validate"; "perfmodel" ]
 
-let phase_hists =
+let phase_snapshot server =
   List.map
     (fun n ->
       ( n,
-        Obs.Metrics.histogram Obs.Metrics.global
-          (Printf.sprintf "service_phase_%s_seconds" n) ))
+        Obs.Metrics.histogram_sum
+          (Obs.Metrics.histogram (Service.Server.metrics server)
+             (Printf.sprintf "service_phase_%s_seconds" n)) ))
     phase_names
-
-let phase_snapshot () =
-  List.map (fun (n, h) -> (n, Obs.Metrics.histogram_sum h)) phase_hists
 
 let phase_delta before after =
   List.map2
@@ -269,8 +267,9 @@ let netfast_pass () =
   ignore (Service.Traffic.run server base) (* warm the cache *);
   let net = Net.Server.create Net.Server.default_cfg server in
   let ccfg = Net.Client.default_cfg ~port:(Net.Server.port net) in
-  let m_fl = Obs.Metrics.counter Obs.Metrics.global "net_flushes_total" in
-  let m_fr = Obs.Metrics.counter Obs.Metrics.global "net_flushed_frames_total" in
+  let reg = Service.Server.metrics server in
+  let m_fl = Obs.Metrics.counter reg "net_flushes_total" in
+  let m_fr = Obs.Metrics.counter reg "net_flushed_frames_total" in
   let drive () =
     Net.Client.drive ccfg
       {
@@ -760,16 +759,16 @@ let service_bench () =
   in
   (* cold pass fills the cache; the warm pass replays the identical
      request sequence, so it measures pure cache-hit serving *)
-  let snap0 = phase_snapshot () in
+  let snap0 = phase_snapshot server in
   let cold = Service.Traffic.run server cfg in
-  let snap1 = phase_snapshot () in
+  let snap1 = phase_snapshot server in
   (* discard one warm pass so the measured warm passes below are both
      steady-state (first-touch effects would otherwise bias whichever
      pass runs first) *)
   ignore (Service.Traffic.run server cfg);
-  let snap2 = phase_snapshot () in
+  let snap2 = phase_snapshot server in
   let warm = Service.Traffic.run server cfg in
-  let snap3 = phase_snapshot () in
+  let snap3 = phase_snapshot server in
   (* traced warm passes measure what turning the span tracer on costs
      relative to the disabled-tracer fast path.  Alternate the two modes
      and take the best pass of each: sequential ordering alone can swing

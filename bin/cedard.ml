@@ -76,6 +76,11 @@ let sweep_validate verbose target =
     !runs !static_rej !dynamic_races;
   !static_rej = 0 && !dynamic_races = 0
 
+(* the process's metrics page: the service's registries (with the net
+   front end's and the replicator's counters) and the global one *)
+let metrics_page server =
+  Service.Server.registries server @ [ Obs.Metrics.global ]
+
 (* --serve mode: put the pool on the network behind the cedarnet
    front-end and run until a Shutdown frame or SIGINT/SIGTERM arrives.
    Both stop paths converge on the same deterministic drain: stop
@@ -128,7 +133,7 @@ let serve server fault ?on_cluster_change ~on_serving ~host ~port ~max_conns
   print_endline (Service.Stats.to_string stats);
   if metrics then begin
     print_endline "--- metrics ---";
-    print_string (Obs.Metrics.dump Obs.Metrics.global)
+    print_string (Obs.Metrics.dump (metrics_page server))
   end;
   if Service.Fault.active fault then begin
     print_endline "--- fault log ---";
@@ -209,8 +214,8 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
       ?on_cache_fill ()
   in
   (* topology plumbing: re-replication on membership changes pulls the
-     resident cache back through the replicator, and outbound counters
-     land in this shard's stats *)
+     resident cache back through the replicator, and its registry joins
+     this shard's page and stats *)
   let start_replication net =
     Option.iter
       (fun peers ->
@@ -222,9 +227,7 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
             Service.Server.export_cache server);
         Cluster.Replicator.set_gc r (fun ~keep ->
             Service.Server.gc_replicas server ~keep);
-        Service.Server.set_replication_source server (fun () ->
-            let c = Cluster.Replicator.counts r in
-            (c.Cluster.Replicator.pushed, c.Cluster.Replicator.skipped_down));
+        Service.Server.attach_registry server (Cluster.Replicator.metrics r);
         Atomic.set replicator (Some r))
       replicated_peers
   in
@@ -390,7 +393,7 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
   | None -> ());
   if metrics then begin
     print_endline "--- metrics ---";
-    print_string (Obs.Metrics.dump Obs.Metrics.global)
+    print_string (Obs.Metrics.dump (metrics_page server))
   end;
   if chaotic then begin
     print_endline "--- fault log ---";

@@ -1,3 +1,5 @@
+module M = Obs.Metrics
+
 type state = Up | Suspect | Down
 
 let state_name = function Up -> "up" | Suspect -> "suspect" | Down -> "down"
@@ -64,19 +66,11 @@ type t = {
   mutable live_ring : Ring.t;
   mutable epoch : int;  (* bumps whenever routable membership changes *)
   mutable draws : int;  (* probe-loss draw counter; the prober's own *)
+  metrics : M.t;
+  m_transitions : M.counter;
+  m_down : M.gauge;
+  m_epoch : M.gauge;
 }
-
-module M = Obs.Metrics
-
-let m_transitions =
-  M.counter M.global ~help:"membership state transitions"
-    "cluster_member_transitions_total"
-
-let m_down =
-  M.gauge M.global ~help:"shards currently marked down" "cluster_members_down"
-
-let m_epoch =
-  M.gauge M.global ~help:"current ring epoch" "cluster_ring_epoch"
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -115,10 +109,10 @@ let rebuild_ring t =
   in
   if Ring.members next <> Ring.members t.live_ring then begin
     t.epoch <- t.epoch + 1;
-    M.set_gauge m_epoch (float_of_int t.epoch)
+    M.set_gauge t.m_epoch (float_of_int t.epoch)
   end;
   t.live_ring <- next;
-  M.set_gauge m_down
+  M.set_gauge t.m_down
     (float_of_int
        (List.fold_left
           (fun n tr -> if tr.st = Down then n + 1 else n)
@@ -129,7 +123,7 @@ let apply_success t tr =
       tr.fails <- 0;
       if tr.st <> Up then begin
         tr.st <- Up;
-        M.incr m_transitions;
+        M.incr t.m_transitions;
         rebuild_ring t
       end)
 
@@ -139,7 +133,7 @@ let apply_failure t tr =
       let next = if tr.fails >= t.down_after then Down else Suspect in
       if tr.st <> next then begin
         tr.st <- next;
-        M.incr m_transitions;
+        M.incr t.m_transitions;
         if next = Down then rebuild_ring t
       end)
 
@@ -203,6 +197,10 @@ let create ?(vnodes = 64) ?(probe_ms = 500.0) ?(down_after = 2)
     ?(timeout_s = 1.0) ?(seed = 0x5eed) ?(probe_loss = 0.0) shards =
   let ids = List.map (fun s -> s.sh_id) shards in
   let full_ring = Ring.make ~vnodes ids in
+  let metrics = M.create () in
+  let m_epoch =
+    M.gauge metrics ~help:"current ring epoch" "cluster_ring_epoch"
+  in
   M.set_gauge m_epoch 1.0;
   {
     vnodes;
@@ -217,7 +215,17 @@ let create ?(vnodes = 64) ?(probe_ms = 500.0) ?(down_after = 2)
     live_ring = full_ring;
     epoch = 1;
     draws = 0;
+    metrics;
+    m_transitions =
+      M.counter metrics ~help:"membership state transitions"
+        "cluster_member_transitions_total";
+    m_down =
+      M.gauge metrics ~help:"shards currently marked down"
+        "cluster_members_down";
+    m_epoch;
   }
+
+let metrics t = t.metrics
 
 let ring t = with_lock t (fun () -> t.live_ring)
 let epoch t = with_lock t (fun () -> t.epoch)

@@ -32,8 +32,9 @@ val state_name : state -> string
 type shard = { sh_id : string; sh_host : string; sh_port : int }
 
 val valid_id : string -> bool
-(** A shard id is one or more of [[A-Za-z0-9_.-]], so it can stand in
-    a metric name and needs no quoting anywhere. *)
+(** A shard id is one or more of [[A-Za-z0-9_.-]], so it needs no
+    quoting in a spec or a JSON view; the proxy escapes it into its
+    route-counter name ({!Proxy.route_metric_name}). *)
 
 val parse_shard : string -> (shard, string) result
 (** One ["id=host:port"] member spec; the id must be {!valid_id}. *)
@@ -62,6 +63,10 @@ val create :
     trip; [seed] makes the jitter stream deterministic.  [probe_loss]
     (default 0) deterministically fails that fraction of probes before
     they touch the network — the seeded flapping injector. *)
+
+val metrics : t -> Obs.Metrics.t
+(** The view's registry: [cluster_member_transitions_total],
+    [cluster_members_down] and [cluster_ring_epoch]. *)
 
 val ring : t -> Ring.t
 (** The current routing ring: every shard not [Down].  Falls back to

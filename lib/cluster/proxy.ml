@@ -9,9 +9,10 @@
    fiber on the same loop.  At most [upstream_width] round trips run
    at once; excess relays suspend for a slot.  The membership prober
    and any metrics endpoint are fibers on the same loop.  The loop is
-   the only thread that touches upstreams, route counters and the
-   topology barrier, so none of them takes a lock.  The proxy's one
-   thread is the loop, however many requests are in flight. *)
+   the only thread that touches upstreams and the topology barrier, so
+   neither takes a lock.  Every count is an instrument of the proxy's
+   own registry, which the stats and members views read.  The proxy's
+   one thread is the loop, however many requests are in flight. *)
 
 module M = Obs.Metrics
 
@@ -56,9 +57,13 @@ type t = {
   stop : bool Atomic.t;
   draining : bool Atomic.t;
   mutable inflight : int;
-  routed : int Atomic.t;
-  failovers : int Atomic.t;
-  shed : int Atomic.t;
+  metrics : M.t;
+  m_failovers : M.counter;
+  m_shed : M.counter;
+  m_inflight : M.gauge;
+  m_stale_routes : M.counter;
+  m_read_repairs : M.counter;
+  m_topo_changes : M.counter;  (* the topology generation, too *)
   slots : unit Aio.Mailbox.mb;  (* one token per upstream round trip *)
   (* Topology barrier: a membership change drains in-flight relays
      against the old ring before the new one routes anything.  Relays
@@ -69,9 +74,6 @@ type t = {
   mutable topo_draining : bool;
   mutable active_relays : int;
   mutable topo_wake : unit Aio.Mailbox.mb;
-  topo_gen : int Atomic.t;  (* completed topology changes *)
-  stale_routes : int Atomic.t;
-  read_repairs : int Atomic.t;
   scratch : Bytes.t;
   mutable conns : conn list;  (* loop thread only *)
   mutable accept_fiber : Aio.fiber option;
@@ -80,31 +82,21 @@ type t = {
   mutable scrapes : Net.Metrics_http.t list;  (* stopped at drain *)
 }
 
-let m_failover =
-  M.counter M.global ~help:"submits served by a ring successor after the owner failed"
-    "cluster_failover_total"
-
-let m_shed =
-  M.counter M.global ~help:"requests shed by the proxy (budget or no live shard)"
-    "cluster_proxy_shed_total"
-
-let m_inflight =
-  M.gauge M.global ~help:"submits in flight through the proxy"
-    "cluster_proxy_inflight"
-
-let m_stale =
-  M.counter M.global
-    ~help:"relays whose routing decision predates a topology change"
-    "cluster_proxy_stale_routes_total"
-
-let m_read_repair =
-  M.counter M.global
-    ~help:"warm hits pushed back to the key's current ring owner"
-    "cluster_read_repair_total"
-
-let m_topo_changes =
-  M.counter M.global ~help:"membership changes applied through the proxy"
-    "cluster_topology_changes_total"
+(* [cluster_route_<id>_total] with the id escaped the way Prometheus
+   escapes names: '_' doubled and '.' and '-' written [_2e_] and [_2d_].
+   Ids are [A-Za-z0-9_.-]+, so the name is valid, and it is distinct for
+   distinct ids; an id of letters and digits is kept as it is. *)
+let route_metric_name id =
+  let b = Buffer.create (String.length id + 24) in
+  Buffer.add_string b "cluster_route_";
+  String.iter
+    (function
+      | '_' -> Buffer.add_string b "__"
+      | ('.' | '-') as c -> Printf.bprintf b "_%x_" (Char.code c)
+      | c -> Buffer.add_char b c)
+    id;
+  Buffer.add_string b "_total";
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
@@ -191,10 +183,7 @@ let change_topology t mutate =
       topo_broadcast t)
     (fun () ->
       let result = mutate () in
-      if Result.is_ok result then begin
-        Atomic.incr t.topo_gen;
-        M.incr m_topo_changes
-      end;
+      if Result.is_ok result then M.incr t.m_topo_changes;
       result)
 
 (* ------------------------------------------------------------------ *)
@@ -218,17 +207,15 @@ let try_reserve t =
   if t.inflight >= t.cfg.max_inflight then false
   else begin
     t.inflight <- t.inflight + 1;
-    M.set_gauge m_inflight (float_of_int t.inflight);
+    M.set_gauge t.m_inflight (float_of_int t.inflight);
     true
   end
 
 let release t =
   t.inflight <- t.inflight - 1;
-  M.set_gauge m_inflight (float_of_int t.inflight)
+  M.set_gauge t.m_inflight (float_of_int t.inflight)
 
-let count_shed t =
-  Atomic.incr t.shed;
-  M.incr m_shed
+let count_shed t = M.incr t.m_shed
 
 (* Read-repair: a warm full-rung hit served by a shard that is not the
    key's current ring owner (failover landed it there, or ownership
@@ -274,9 +261,7 @@ let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
                              with_upstream t u (fun c ->
                                  Net.Client.cache_push c p)
                            with
-                           | Ok _ ->
-                               Atomic.incr t.read_repairs;
-                               M.incr m_read_repair
+                           | Ok _ -> M.incr t.m_read_repairs
                            | Error _ ->
                                Membership.note_failure t.members owner))))
       | _ -> ())
@@ -297,7 +282,7 @@ let relay_submit t (s : Net.Wire.submit) =
       }
   in
   let ring, _epoch = Membership.ring_epoch t.members in
-  let gen0 = Atomic.get t.topo_gen in
+  let gen0 = M.counter_value t.m_topo_changes in
   let candidates = Ring.route ring key ~n:(max 1 t.cfg.failover) in
   let rec go i = function
     | [] ->
@@ -307,10 +292,8 @@ let relay_submit t (s : Net.Wire.submit) =
         let try_next () = go (i + 1) rest in
         (* the barrier guarantees no membership change lands while this
            relay is in flight; the counter proves it stays that way *)
-        if Atomic.get t.topo_gen <> gen0 then begin
-          Atomic.incr t.stale_routes;
-          M.incr m_stale
-        end;
+        if M.counter_value t.m_topo_changes <> gen0 then
+          M.incr t.m_stale_routes;
         match upstream_of t shard_id with
         | None -> try_next ()
         | Some u -> (
@@ -327,12 +310,8 @@ let relay_submit t (s : Net.Wire.submit) =
                     (* saturated, not dead: spill to the successor *)
                     try_next ()
                 | reply ->
-                    Atomic.incr t.routed;
                     M.incr u.u_routed;
-                    if i > 0 then begin
-                      Atomic.incr t.failovers;
-                      M.incr m_failover
-                    end;
+                    if i > 0 then M.incr t.m_failovers;
                     schedule_read_repair t ~name:s.Net.Wire.sub_name ~key
                       ~served_by:shard_id reply;
                     reply)
@@ -361,6 +340,23 @@ let relay_cache_push t (p : Net.Wire.cache_push) =
 (* Cluster-wide observability                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* the proxy process's page: its own registry, its membership view's
+   and the instance-free global one *)
+let page t = [ t.metrics; Membership.metrics t.members; M.global ]
+let metrics t = t.metrics
+
+(* the sum of every route counter, removed shards' included *)
+let routed_total t =
+  match M.to_json [ t.metrics ] with
+  | Obs.Json.Obj entries ->
+      List.fold_left
+        (fun n (name, e) ->
+          if String.starts_with ~prefix:"cluster_route_" name then
+            n + Obs.Json.to_int (Obs.Json.member "value" e)
+          else n)
+        0 entries
+  | _ -> 0
+
 (* per-shard fetch for the aggregated views; Down shards are reported
    as unreachable without being dialed *)
 let fetch_from_shard t (shard : Membership.shard) st f =
@@ -377,6 +373,8 @@ let shard_stats t shard st =
   | Ok body -> Result.value ~default:Obs.Json.Null (Obs.Json.parse body)
   | Error _ -> Obs.Json.Null
 
+let count c = Obs.Json.Int (M.counter_value c)
+
 (* the [cedarctl stats] view of a proxy: its routing counters and
    membership, then every shard's stats object ([null] when
    unreachable) *)
@@ -392,9 +390,9 @@ let aggregated_stats_json t =
       ( "proxy",
         J.Obj
           [
-            ("routed", J.Int (Atomic.get t.routed));
-            ("failovers", J.Int (Atomic.get t.failovers));
-            ("shed", J.Int (Atomic.get t.shed));
+            ("routed", J.Int (routed_total t));
+            ("failovers", count t.m_failovers);
+            ("shed", count t.m_shed);
             ("members", Membership.members_json t.members);
           ] );
       ("shards", J.Obj shards);
@@ -413,7 +411,6 @@ let replica_counter_keys =
    and each live shard's replication counters in one object *)
 let enriched_members_json t =
   let module J = Obs.Json in
-  let count n = J.Int (Atomic.get n) in
   let shards =
     Membership.snapshot t.members
     |> List.map (fun ((shard : Membership.shard), st, fails) ->
@@ -449,12 +446,12 @@ let enriched_members_json t =
       ( "proxy",
         J.Obj
           [
-            ("routed", count t.routed);
-            ("failovers", count t.failovers);
-            ("shed", count t.shed);
-            ("stale_routes", count t.stale_routes);
-            ("read_repairs", count t.read_repairs);
-            ("topology_changes", count t.topo_gen);
+            ("routed", J.Int (routed_total t));
+            ("failovers", count t.m_failovers);
+            ("shed", count t.m_shed);
+            ("stale_routes", count t.m_stale_routes);
+            ("read_repairs", count t.m_read_repairs);
+            ("topology_changes", count t.m_topo_changes);
           ] );
       ("shards", J.List shards);
     ]
@@ -463,7 +460,7 @@ let enriched_members_json t =
 (* Topology changes                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let shard_upstream cfg (s : Membership.shard) =
+let shard_upstream cfg reg (s : Membership.shard) =
   {
     u_pool =
       Upstream.create
@@ -475,8 +472,8 @@ let shard_upstream cfg (s : Membership.shard) =
           max_attempts = 2;
         };
     u_routed =
-      M.counter M.global ~help:"submits routed to this shard"
-        (Printf.sprintf "cluster_route_%s_total" s.Membership.sh_id);
+      M.counter reg ~help:"submits routed to this shard"
+        (route_metric_name s.Membership.sh_id);
   }
 
 (* Best-effort fan-out of an applied change to the shards themselves:
@@ -511,8 +508,8 @@ let handle_cluster_add t (a : Net.Wire.cluster_add) =
     }
   in
   let outcome =
-    (* the id lands in JSON views and a metric name: refuse it before
-       draining anything *)
+    (* the id lands in specs and JSON views: refuse it before draining
+       anything *)
     if not (Membership.valid_id shard.Membership.sh_id) then
       Error
         (Printf.sprintf "shard id %S must be [A-Za-z0-9_.-]+"
@@ -524,7 +521,7 @@ let handle_cluster_add t (a : Net.Wire.cluster_add) =
           | Ok epoch ->
               if not (List.mem_assoc shard.Membership.sh_id t.upstreams) then
                 t.upstreams <-
-                  (shard.Membership.sh_id, shard_upstream t.cfg shard)
+                  (shard.Membership.sh_id, shard_upstream t.cfg t.metrics shard)
                   :: t.upstreams;
               Ok epoch)
   in
@@ -627,7 +624,8 @@ let dispatch t conn ~id msg =
           Net.Wire.Cluster_ack (handle_cluster_remove t sid));
       `Continue
   | Net.Wire.Metrics_json_req ->
-      send conn ~id (Net.Wire.Metrics_json (Obs.Json.to_string (M.to_json M.global)));
+      send conn ~id
+        (Net.Wire.Metrics_json (Obs.Json.to_string (M.to_json (page t))));
       `Continue
   | Net.Wire.Shutdown_req ->
       (* stops the proxy only; shards are shut down by their own owners *)
@@ -753,9 +751,12 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
     Membership.create ~vnodes ~probe_ms ~down_after
       ~timeout_s:(Float.min 1.0 cfg.shard_timeout_s) ~seed shards
   in
+  let metrics = M.create () in
+  let counter name help = M.counter metrics ~help name in
   let upstreams =
     List.map
-      (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_upstream cfg s))
+      (fun (s : Membership.shard) ->
+        (s.Membership.sh_id, shard_upstream cfg metrics s))
       shards
   in
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -783,16 +784,29 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       stop = Atomic.make false;
       draining = Atomic.make false;
       inflight = 0;
-      routed = Atomic.make 0;
-      failovers = Atomic.make 0;
-      shed = Atomic.make 0;
+      metrics;
+      m_failovers =
+        counter "cluster_failover_total"
+          "submits served by a ring successor after the owner failed";
+      m_shed =
+        counter "cluster_proxy_shed_total"
+          "requests shed by the proxy (budget or no live shard)";
+      m_inflight =
+        M.gauge metrics ~help:"submits in flight through the proxy"
+          "cluster_proxy_inflight";
+      m_stale_routes =
+        counter "cluster_proxy_stale_routes_total"
+          "relays whose routing decision predates a topology change";
+      m_read_repairs =
+        counter "cluster_read_repair_total"
+          "warm hits pushed back to the key's current ring owner";
+      m_topo_changes =
+        counter "cluster_topology_changes_total"
+          "membership changes applied through the proxy";
       slots = Aio.Mailbox.create ~capacity:upstream_width ();
       topo_draining = false;
       active_relays = 0;
       topo_wake = Aio.Mailbox.create ();
-      topo_gen = Atomic.make 0;
-      stale_routes = Atomic.make 0;
-      read_repairs = Atomic.make 0;
       scratch = Bytes.create 65536;
       conns = [];
       accept_fiber = None;
@@ -825,7 +839,7 @@ let membership t = t.members
 let attach_metrics t ~port =
   let ep =
     Net.Metrics_http.start ~host:t.cfg.host ~port t.sched (fun () ->
-        M.dump M.global)
+        M.dump (page t))
   in
   t.scrapes <- ep :: t.scrapes;
   ep
@@ -866,10 +880,9 @@ let drain t =
     List.iter (fun (_, u) -> close_upstream u) t.upstreams
   end
 
-let routed_total t = Atomic.get t.routed
-let failover_total t = Atomic.get t.failovers
-let shed_total t = Atomic.get t.shed
+let failover_total t = M.counter_value t.m_failovers
+let shed_total t = M.counter_value t.m_shed
 let epoch t = Membership.epoch t.members
-let stale_routes_total t = Atomic.get t.stale_routes
-let read_repair_total t = Atomic.get t.read_repairs
-let topology_changes_total t = Atomic.get t.topo_gen
+let stale_routes_total t = M.counter_value t.m_stale_routes
+let read_repair_total t = M.counter_value t.m_read_repairs
+let topology_changes_total t = M.counter_value t.m_topo_changes

@@ -28,7 +28,8 @@
     that is down or unreachable); [Members_json_req] the membership
     view (ring epoch, vnodes, proxy routing counters, per-shard state,
     idle connections and replication counters); [Metrics_json_req] the
-    proxy's own registry.  [cedarctl] renders the text views.
+    proxy's registry, its membership view's and the global one.
+    [cedarctl] renders the text views.
 
     A [Cluster_add] whose shard id is not {!Membership.valid_id} is
     refused with [ack_ok = false] and the epoch unchanged.
@@ -83,8 +84,17 @@ val port : t -> int
 
 val membership : t -> Membership.t
 
+val metrics : t -> Obs.Metrics.t
+(** The proxy's registry, which every count in its views is read from;
+    it has one {!route_metric_name} counter per shard ever routed to. *)
+
+val route_metric_name : string -> string
+(** [cluster_route_<id>_total], the id escaped as Prometheus escapes
+    names (["a_b.c-d"] gives [cluster_route_a__b_2e_c_2d_d_total]): a
+    valid metric name, distinct for distinct ids. *)
+
 val attach_metrics : t -> port:int -> Net.Metrics_http.t
-(** Serve the Prometheus dump of {!Obs.Metrics.global} over HTTP on
+(** Serve the Prometheus dump of the proxy process's page over HTTP on
     [port] (0 = ephemeral) of the proxy's host, from a fiber on the
     proxy's loop.  {!drain} stops it.
     @raise Unix.Unix_error when the address cannot be bound. *)

@@ -1,3 +1,5 @@
+module M = Obs.Metrics
+
 type item = { it_key : string; it_digest : string; it_payload : Service.Server.payload }
 
 type counts = {
@@ -22,8 +24,9 @@ let cooldown_s = 2.0
 
 (* The mutable state is loop-local, touched only by post thunks and
    fibers on [loop], so none of it takes a lock; [export] and [gc] are
-   wired once, before the loop can need them.  The counters are atomics
-   because [counts] is read from any thread. *)
+   wired once, before the loop can need them.  The counts are the
+   instruments of the replicator's own registry, which [counts] reads
+   from any thread. *)
 type t = {
   self : string;
   replicas : int;  (* total copies of a key, primary included *)
@@ -41,36 +44,14 @@ type t = {
   queue : item Queue.t;
   capacity : int;
   mutable sending : bool;  (* a sender fiber is alive *)
-  c_pushed : int Atomic.t;
-  c_admitted : int Atomic.t;
-  c_rejected : int Atomic.t;
-  c_dropped : int Atomic.t;
-  c_errors : int Atomic.t;
-  c_skipped : int Atomic.t;
+  metrics : M.t;
+  pushed : M.counter;
+  admitted : M.counter;
+  rejected : M.counter;
+  dropped : M.counter;
+  errors : M.counter;
+  skipped : M.counter;
 }
-
-module M = Obs.Metrics
-
-let m_pushed =
-  M.counter M.global ~help:"warm-cache entries pushed to a ring successor"
-    "cluster_replication_pushed_total"
-
-let m_admitted =
-  M.counter M.global ~help:"warm-cache pushes admitted by the peer"
-    "cluster_replication_admitted_total"
-
-let m_dropped =
-  M.counter M.global ~help:"warm-cache pushes dropped on a full queue"
-    "cluster_replication_dropped_total"
-
-let m_errors =
-  M.counter M.global ~help:"warm-cache pushes lost to transport errors"
-    "cluster_replication_errors_total"
-
-let m_skipped =
-  M.counter M.global
-    ~help:"warm-cache pushes skipped because the target was held down"
-    "cluster_replication_skipped_down_total"
 
 let cache_push_of_item it =
   let p = it.it_payload in
@@ -108,13 +89,10 @@ let note_peer_error t id now =
 
 let send_to t it target =
   let now = Unix.gettimeofday () in
-  if not (target_usable t target now) then begin
-    Atomic.incr t.c_skipped;
-    M.incr m_skipped
-  end
+  if not (target_usable t target now) then M.incr t.skipped
   else
     match List.assoc_opt target t.pools with
-    | None -> Atomic.incr t.c_errors
+    | None -> M.incr t.errors
     | Some pool -> (
         match
           Upstream.with_client pool (fun c ->
@@ -122,17 +100,11 @@ let send_to t it target =
         with
         | Ok admitted ->
             note_peer_ok t target;
-            Atomic.incr t.c_pushed;
-            M.incr m_pushed;
-            if admitted then begin
-              Atomic.incr t.c_admitted;
-              M.incr m_admitted
-            end
-            else Atomic.incr t.c_rejected
+            M.incr t.pushed;
+            M.incr (if admitted then t.admitted else t.rejected)
         | Error _ ->
             note_peer_error t target (Unix.gettimeofday ());
-            Atomic.incr t.c_errors;
-            M.incr m_errors)
+            M.incr t.errors)
 
 (* the key's first R-1 distinct ring successors after this shard —
    under R total copies, where every replica of the key belongs *)
@@ -147,12 +119,10 @@ let rec send_queued t =
   match Queue.take_opt t.queue with
   | None -> t.sending <- false
   | Some it ->
-      (try send_one t it with _ -> Atomic.incr t.c_errors);
+      (try send_one t it with _ -> M.incr t.errors);
       send_queued t
 
-let count_dropped t =
-  Atomic.incr t.c_dropped;
-  M.incr m_dropped
+let count_dropped t = M.incr t.dropped
 
 (* on the loop, outside a fiber *)
 let enqueue t it =
@@ -183,6 +153,8 @@ let make_pools ~timeout_s ~self peers =
 let create ?(vnodes = 64) ?(queue_capacity = 256) ?(timeout_s = 5.0)
     ?(replicas = 2) ~self ~peers loop =
   let ids = List.map (fun s -> s.Membership.sh_id) peers in
+  let metrics = M.create () in
+  let counter name help = M.counter metrics ~help name in
   {
     self;
     replicas = max 1 replicas;
@@ -197,12 +169,25 @@ let create ?(vnodes = 64) ?(queue_capacity = 256) ?(timeout_s = 5.0)
     queue = Queue.create ();
     capacity = max 1 queue_capacity;
     sending = false;
-    c_pushed = Atomic.make 0;
-    c_admitted = Atomic.make 0;
-    c_rejected = Atomic.make 0;
-    c_dropped = Atomic.make 0;
-    c_errors = Atomic.make 0;
-    c_skipped = Atomic.make 0;
+    metrics;
+    pushed =
+      counter "cluster_replication_pushed_total"
+        "warm-cache entries pushed to a ring successor";
+    admitted =
+      counter "cluster_replication_admitted_total"
+        "warm-cache pushes admitted by the peer";
+    rejected =
+      counter "cluster_replication_rejected_total"
+        "warm-cache pushes the peer rejected";
+    dropped =
+      counter "cluster_replication_dropped_total"
+        "warm-cache pushes dropped on a full queue";
+    errors =
+      counter "cluster_replication_errors_total"
+        "warm-cache pushes lost to transport errors";
+    skipped =
+      counter "cluster_replication_skipped_down_total"
+        "warm-cache pushes skipped because the target was held down";
   }
 
 (* worker domains hand the item to the loop; once the loop has
@@ -250,14 +235,17 @@ let set_members t peers =
 
 let replicas t = t.replicas
 
+let metrics t = t.metrics
+
 let counts t =
+  let v = M.counter_value in
   {
-    pushed = Atomic.get t.c_pushed;
-    admitted = Atomic.get t.c_admitted;
-    rejected = Atomic.get t.c_rejected;
-    dropped = Atomic.get t.c_dropped;
-    errors = Atomic.get t.c_errors;
-    skipped_down = Atomic.get t.c_skipped;
+    pushed = v t.pushed;
+    admitted = v t.admitted;
+    rejected = v t.rejected;
+    dropped = v t.dropped;
+    errors = v t.errors;
+    skipped_down = v t.skipped;
   }
 
 (* on the loop while it runs; at once after it has finished *)

@@ -95,7 +95,12 @@ val set_members : t -> Membership.shard list -> unit
 val replicas : t -> int
 (** The configured replication factor (total copies). *)
 
+val metrics : t -> Obs.Metrics.t
+(** The replicator's registry: one [cluster_replication_<field>_total]
+    counter per {!counts} field. *)
+
 val counts : t -> counts
+(** Read from the {!metrics} instruments. *)
 
 val stop : t -> unit
 (** Close the idle push connections: on the loop while it runs, at once

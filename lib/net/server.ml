@@ -30,12 +30,12 @@
    defeats the 1-byte-per-second slow-loris sender the old per-read
    socket timeout never caught.
 
-   Budget accounting is unchanged: [inflight] counts submits admitted
-   into the service and not yet replied to, across all connections,
-   CAS-reserved against the budget (excess submits shed with
-   R_overloaded, never queued); the high-water mark proves the bound
-   held.  The counters stay atomics because stats readers live on other
-   threads. *)
+   Budget accounting: [inflight] counts submits admitted into the
+   service and not yet replied to, across all connections, reserved
+   against the budget (excess submits shed with R_overloaded, never
+   queued); the high-water mark proves the bound held.  Only loop
+   fibers touch the two, so they are plain ints; the counters are
+   instruments in the service's registry. *)
 
 module M = Obs.Metrics
 module Fault = Service.Fault
@@ -98,10 +98,18 @@ type t = {
   sched : Aio.t;
   stop : bool Atomic.t;
   draining : bool Atomic.t;
-  inflight : int Atomic.t;
-  inflight_hw : int Atomic.t;
-  shed : int Atomic.t;
-  conns_seen : int Atomic.t;
+  mutable inflight : int;  (* loop fibers only *)
+  mutable inflight_hw : int;
+  m_conns_total : M.counter;
+  m_conns_active : M.gauge;
+  m_requests : M.counter;
+  m_shed : M.counter;
+  m_too_large : M.counter;
+  m_bad_frames : M.counter;
+  m_inflight : M.gauge;
+  m_request_seconds : M.histogram;
+  m_flushes : M.counter;
+  m_flushed_frames : M.counter;
   scratch : Bytes.t;
       (* shared read buffer: fibers never suspend between reading into
          it and feeding the stream, so one buffer serves every
@@ -112,48 +120,12 @@ type t = {
   mutable scrapes : Metrics_http.t list;  (* stopped at drain *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Registry instruments                                                *)
-(* ------------------------------------------------------------------ *)
-
-let m_conns_total =
-  M.counter M.global ~help:"connections accepted" "net_connections_total"
-
-let m_conns_active =
-  M.gauge M.global ~help:"connections currently served" "net_connections_active"
-
-let m_requests =
-  M.counter M.global ~help:"wire requests received" "net_requests_total"
-
-let m_shed =
-  M.counter M.global
-    ~help:"requests and connections answered Overloaded (load shed)"
-    "net_shed_total"
-
-let m_too_large =
-  M.counter M.global ~help:"submits rejected by the source-size cap"
-    "net_too_large_total"
-
-let m_bad_frames =
-  M.counter M.global ~help:"frames that failed to decode" "net_frames_bad_total"
-
-let m_inflight =
-  M.gauge M.global ~help:"submits admitted and not yet replied to"
-    "net_requests_inflight"
-
-let m_request_seconds =
-  M.histogram M.global ~help:"wire request latency, admit to reply written"
-    "net_request_seconds"
-
-let m_flushes =
-  M.counter M.global ~help:"batched socket flushes (one write per batch)"
-    "net_flushes_total"
-
-let m_flushed_frames =
-  M.counter M.global ~help:"reply frames coalesced into batched flushes"
-    "net_flushed_frames_total"
-
 let now () = Unix.gettimeofday ()
+
+(* the metrics page: the service's registries (this server's counters
+   among them), the wire's injector if it is another, and the global *)
+let page t =
+  Service.Server.registries t.svc @ [ Fault.metrics t.fault; M.global ]
 
 (* ------------------------------------------------------------------ *)
 (* Writing (a single writer fiber per connection, so the chaos write
@@ -185,7 +157,7 @@ let conn_finished t conn =
   conn.c_alive <- conn.c_alive - 1;
   if conn.c_alive = 0 then begin
     (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-    M.add_gauge m_conns_active (-1.0);
+    M.add_gauge t.m_conns_active (-1.0);
     t.conns <- List.filter (fun c -> not (c == conn)) t.conns
   end
 
@@ -251,8 +223,8 @@ let writer t conn =
           in
           (* counted before the write so a client that has read the
              whole batch is guaranteed to observe the flush *)
-          M.incr m_flushes;
-          M.incr ~by:(List.length frames) m_flushed_frames;
+          M.incr t.m_flushes;
+          M.incr ~by:(List.length frames) t.m_flushed_frames;
           (match
              Aio.write_all ?deadline conn.c_fd payload 0 (Bytes.length payload)
            with
@@ -287,37 +259,29 @@ let reply_of_outcome trace (outcome : Service.Server.outcome) =
   | Service.Server.Cancelled -> Wire.R_cancelled
 
 let shed_request t conn ~id =
-  Atomic.incr t.shed;
-  M.incr m_shed;
+  M.incr t.m_shed;
   send t conn ~id (Wire.Result Wire.R_overloaded)
 
-(* CAS admission against the in-flight budget *)
-let rec try_reserve t =
-  let cur = Atomic.get t.inflight in
-  if cur >= t.cfg.max_inflight then false
-  else if Atomic.compare_and_set t.inflight cur (cur + 1) then begin
-    let rec bump_hw () =
-      let hw = Atomic.get t.inflight_hw in
-      if cur + 1 > hw then
-        if Atomic.compare_and_set t.inflight_hw hw (cur + 1) then ()
-        else bump_hw ()
-    in
-    bump_hw ();
-    M.set_gauge m_inflight (float_of_int (Atomic.get t.inflight));
+(* admission against the in-flight budget *)
+let try_reserve t =
+  if t.inflight >= t.cfg.max_inflight then false
+  else begin
+    t.inflight <- t.inflight + 1;
+    t.inflight_hw <- max t.inflight_hw t.inflight;
+    M.set_gauge t.m_inflight (float_of_int t.inflight);
     true
   end
-  else try_reserve t
 
 let release t =
-  Atomic.decr t.inflight;
-  M.set_gauge m_inflight (float_of_int (Atomic.get t.inflight))
+  t.inflight <- t.inflight - 1;
+  M.set_gauge t.m_inflight (float_of_int t.inflight)
 
 let admit_submit t conn ~id (s : Wire.submit) =
   let got = String.length s.Wire.sub_source in
   if t.cfg.max_source_bytes > 0 && got > t.cfg.max_source_bytes then begin
     (* request hygiene: typed rejection before the source reaches a
        parser — and before it reaches the service at all *)
-    M.incr m_too_large;
+    M.incr t.m_too_large;
     send t conn ~id
       (Wire.Result (Wire.R_too_large { limit = t.cfg.max_source_bytes; got }))
   end
@@ -368,7 +332,7 @@ let dispatch t conn ~id msg =
       send t conn ~id Wire.Pong;
       `Continue
   | Wire.Submit s ->
-      M.incr m_requests;
+      M.incr t.m_requests;
       admit_submit t conn ~id s;
       `Continue
   | Wire.Stats_json_req ->
@@ -378,7 +342,8 @@ let dispatch t conn ~id msg =
               (Service.Stats.to_json (Service.Server.stats t.svc))));
       `Continue
   | Wire.Metrics_json_req ->
-      send t conn ~id (Wire.Metrics_json (Obs.Json.to_string (M.to_json M.global)));
+      send t conn ~id
+        (Wire.Metrics_json (Obs.Json.to_string (M.to_json (page t))));
       `Continue
   | Wire.Cache_push p ->
       (* warm-cache replication from a ring peer: verify + admit, then
@@ -463,14 +428,14 @@ let reader t conn =
       | `Oversized (id, got) ->
           (* drained in constant memory: reject typed, keep the stream *)
           update_deadline ();
-          M.incr m_requests;
-          M.incr m_too_large;
+          M.incr t.m_requests;
+          M.incr t.m_too_large;
           send t conn ~id (Wire.Result (Wire.R_too_large { limit = cap; got }));
           loop ()
       | `Fail err ->
           (* a frame that does not decode leaves the stream position
              unknowable; answer typed and drop the connection *)
-          M.incr m_bad_frames;
+          M.incr t.m_bad_frames;
           send t conn ~id:0
             (Wire.Result (Wire.R_error (Wire.error_to_string err)))
       | `Need_more -> (
@@ -511,7 +476,7 @@ let responder t conn =
         let reply = reply_of_outcome p.pd_trace outcome in
         send t conn ~id:p.pd_id (Wire.Result reply);
         release t;
-        M.observe m_request_seconds (now () -. p.pd_start);
+        M.observe t.m_request_seconds (now () -. p.pd_start);
         if p.pd_trace <> 0 then
           Obs.Trace.with_trace_id p.pd_trace (fun () ->
               Obs.Trace.completed ~start_s:p.pd_start ~stop_s:(now ())
@@ -531,16 +496,14 @@ let handle_accept t fd =
   if Atomic.get t.stop then (
     try Unix.close fd with Unix.Unix_error _ -> ())
   else begin
-    Atomic.incr t.conns_seen;
-    M.incr m_conns_total;
+    M.incr t.m_conns_total;
     if Fault.fire t.fault Fault.Accept_drop then (
       try Unix.close fd with Unix.Unix_error _ -> ())
     else if List.length t.conns >= t.cfg.max_conns then begin
       (* connection budget exhausted: one explicit Overloaded frame,
          then the door closes — nothing queues.  A small fiber writes
          the verdict so a slow receiver cannot stall the accept loop. *)
-      Atomic.incr t.shed;
-      M.incr m_shed;
+      M.incr t.m_shed;
       Unix.set_nonblock fd;
       ignore
         (Aio.spawn (fun () ->
@@ -566,7 +529,7 @@ let handle_accept t fd =
         }
       in
       t.conns <- conn :: t.conns;
-      M.add_gauge m_conns_active 1.0;
+      M.add_gauge t.m_conns_active 1.0;
       ignore (Aio.spawn (fun () -> writer t conn));
       ignore (Aio.spawn (fun () -> responder t conn));
       ignore (Aio.spawn (fun () -> reader t conn))
@@ -610,6 +573,8 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> cfg.port
   in
+  let reg = Service.Server.metrics svc in
+  let counter name help = M.counter reg ~help name in
   let t =
     {
       svc;
@@ -621,10 +586,32 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
       sched = Aio.create ();
       stop = Atomic.make false;
       draining = Atomic.make false;
-      inflight = Atomic.make 0;
-      inflight_hw = Atomic.make 0;
-      shed = Atomic.make 0;
-      conns_seen = Atomic.make 0;
+      inflight = 0;
+      inflight_hw = 0;
+      m_conns_total = counter "net_connections_total" "connections accepted";
+      m_conns_active =
+        M.gauge reg ~help:"connections currently served"
+          "net_connections_active";
+      m_requests = counter "net_requests_total" "wire requests received";
+      m_shed =
+        counter "net_shed_total"
+          "requests and connections answered Overloaded (load shed)";
+      m_too_large =
+        counter "net_too_large_total" "submits rejected by the source-size cap";
+      m_bad_frames =
+        counter "net_frames_bad_total" "frames that failed to decode";
+      m_inflight =
+        M.gauge reg ~help:"submits admitted and not yet replied to"
+          "net_requests_inflight";
+      m_request_seconds =
+        M.histogram reg ~help:"wire request latency, admit to reply written"
+          "net_request_seconds";
+      m_flushes =
+        counter "net_flushes_total"
+          "batched socket flushes (one write per batch)";
+      m_flushed_frames =
+        counter "net_flushed_frames_total"
+          "reply frames coalesced into batched flushes";
       scratch = Bytes.create 65536;
       conns = [];
       accept_fiber = None;
@@ -647,8 +634,7 @@ let loop t = t.sched
 
 let attach_metrics t ~port =
   let ep =
-    Metrics_http.start ~host:t.cfg.host ~port t.sched (fun () ->
-        M.dump M.global)
+    Metrics_http.start ~host:t.cfg.host ~port t.sched (fun () -> M.dump (page t))
   in
   t.scrapes <- ep :: t.scrapes;
   ep
@@ -690,6 +676,6 @@ let drain t =
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end
 
-let connections_seen t = Atomic.get t.conns_seen
-let inflight_high_water t = Atomic.get t.inflight_hw
-let shed_total t = Atomic.get t.shed
+let connections_seen t = M.counter_value t.m_conns_total
+let inflight_high_water t = t.inflight_hw
+let shed_total t = M.counter_value t.m_shed

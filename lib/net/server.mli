@@ -27,9 +27,11 @@
 
     {b Observability.}  Every submit carries (or is minted) an
     {!Obs.Trace} id that rides the job end to end and returns in the
-    reply; connection/request/shed/bytes counters land in
-    {!Obs.Metrics.global}.  Stats and metrics requests are answered
-    with JSON ({!Service.Stats.to_json}, {!Obs.Metrics.to_json}).
+    reply; connection/request/shed counters are registered in the
+    service's registry.  Stats and metrics requests are answered with
+    JSON: {!Service.Stats.to_json}, and {!Obs.Metrics.to_json} of the
+    service's {!Service.Server.registries}, the injector's and the
+    global one.
 
     {b Chaos.}  An attached {!Service.Fault} injector with network
     sites armed attacks the wire itself: accepted connections dropped,
@@ -88,7 +90,7 @@ val loop : t -> Aio.t
     keep {!drain} waiting until they finish. *)
 
 val attach_metrics : t -> port:int -> Metrics_http.t
-(** Serve the Prometheus dump of {!Obs.Metrics.global} over HTTP on
+(** Serve the Prometheus dump of the metrics page over HTTP on
     [port] (0 = ephemeral) of this server's host, from a fiber on
     {!loop}.  {!drain} stops it.
     @raise Unix.Unix_error when the address cannot be bound. *)
@@ -103,7 +105,7 @@ val drain : t -> unit
 val connections_seen : t -> int
 val inflight_high_water : t -> int
 (** Most submits ever outstanding at once — proves the in-flight budget
-    held under overload. *)
+    held under overload.  Read it after {!drain}. *)
 
 val shed_total : t -> int
 (** Requests/connections answered [R_overloaded]. *)

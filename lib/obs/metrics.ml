@@ -27,6 +27,16 @@ let with_lock t f =
   Mutex.lock t.mx;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mx) f
 
+(* the Prometheus name pattern [a-zA-Z_:][a-zA-Z0-9_:]* *)
+let valid_name name =
+  name <> ""
+  && (match name.[0] with '0' .. '9' -> false | _ -> true)
+  && String.for_all
+       (function
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
+         | _ -> false)
+       name
+
 let get_or_create t name mk classify =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.tbl name with
@@ -38,6 +48,9 @@ let get_or_create t name mk classify =
                 (Printf.sprintf "Metrics: %s already registered with another type"
                    name))
       | None ->
+          if not (valid_name name) then
+            invalid_arg
+              (Printf.sprintf "Metrics: %S is not a valid metric name" name);
           let m, x = mk () in
           Hashtbl.replace t.tbl name m;
           x)
@@ -124,16 +137,28 @@ let find t name =
       | Some (Gauge g) -> `Gauge (Atomic.get g.g_cell)
       | Some (Histogram _) | None -> `None)
 
-let sorted t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun _ m acc -> m :: acc) t.tbl []
-      |> List.sort
-           (let name = function
-              | Counter c -> c.c_name
-              | Gauge g -> g.g_name
-              | Histogram h -> h.h_name
-            in
-            fun a b -> compare (name a) (name b)))
+let metric_name = function
+  | Counter c -> c.c_name
+  | Gauge g -> g.g_name
+  | Histogram h -> h.h_name
+
+(* every instrument of the distinct registries, sorted by name; the
+   sort is stable, so on a shared name the earlier registry's comes
+   first and the later ones are dropped *)
+let sorted ts =
+  let distinct =
+    List.fold_left (fun acc t -> if List.memq t acc then acc else t :: acc) [] ts
+  in
+  let rec dedup = function
+    | a :: b :: rest when metric_name a = metric_name b -> dedup (a :: rest)
+    | a :: rest -> a :: dedup rest
+    | [] -> []
+  in
+  List.rev distinct
+  |> List.concat_map (fun t ->
+         with_lock t (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) t.tbl []))
+  |> List.stable_sort (fun a b -> compare (metric_name a) (metric_name b))
+  |> dedup
 
 (* text values: integral floats print without a fraction, others %g *)
 let fstr v =
@@ -143,7 +168,7 @@ let fstr v =
 
 (* the snapshot every view derives from: one entry per instrument,
    keyed by name, help last *)
-let to_json t =
+let to_json ts =
   let module J = Json in
   let entry = function
     | Counter c ->
@@ -183,7 +208,7 @@ let to_json t =
         Mutex.unlock h.h_mx;
         (h.h_name, J.Obj fields)
   in
-  J.Obj (List.map entry (sorted t))
+  J.Obj (List.map entry (sorted ts))
 
 let render json =
   let module J = Json in
@@ -214,19 +239,4 @@ let render json =
     (match json with J.Obj entries -> entries | _ -> []);
   Buffer.contents b
 
-let dump t = render (to_json t)
-
-let reset t =
-  with_lock t (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | Counter c -> Atomic.set c.c_cell 0
-          | Gauge g -> Atomic.set g.g_cell 0.0
-          | Histogram h ->
-              Mutex.lock h.h_mx;
-              Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-              h.h_sum <- 0.0;
-              h.h_count <- 0;
-              Mutex.unlock h.h_mx)
-        t.tbl)
+let dump ts = render (to_json ts)

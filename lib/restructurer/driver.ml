@@ -654,6 +654,7 @@ and transform_loop_memo ctx sp ~avail ~after_reads ~facts ~depth h blk =
           blk
       with
       | None ->
+          Memo.bypass memo;
           Obs.Trace.attr sp "memo" "bypass";
           transform_loop_raw ctx ~avail ~after_reads ~facts ~depth h blk
       | Some prep -> (

@@ -424,11 +424,6 @@ let opts_digest (opts : Options.t) =
 
 let size_cap = 1 lsl 16
 
-let bypass_counter =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.global
-       ~help:"nests not memoizable (oversized)" "memo_bypass_total")
-
 (** Build the lookup key for one nest, or [None] (bypass) when the nest
     is too large to be worth caching. *)
 let prepare ~(syms : Symbols.t) ~(interproc : Analysis.Interproc.t)
@@ -507,10 +502,7 @@ let prepare ~(syms : Symbols.t) ~(interproc : Analysis.Interproc.t)
   put_tag sr (if cluster then 'K' else '.');
   put_int sr depth;
   put_raw sr (opts_digest opts);
-  if Buffer.length sr.buf > size_cap then begin
-    Obs.Metrics.incr (Lazy.force bypass_counter);
-    None
-  end
+  if Buffer.length sr.buf > size_cap then None
   else
     let safe =
       Array.for_all (fun v -> not (SSet.mem v template_words)) names
@@ -546,16 +538,17 @@ type 'r t = {
   recency : (string * int) Queue.t;  (* lazy-deletion LRU, as Cache *)
   mutable tick : int;
   corrupt : unit -> bool;  (* chaos hook: poison the entry being stored *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable corruptions : int;
+  metrics : Obs.Metrics.t;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
+  evictions : Obs.Metrics.counter;
+  corruptions : Obs.Metrics.counter;
+  bypasses : Obs.Metrics.counter;
 }
 
-let metric name help =
-  Obs.Metrics.counter Obs.Metrics.global ~help name
-
 let create ?(capacity = 512) ?(corrupt = fun () -> false) () =
+  let metrics = Obs.Metrics.create () in
+  let counter name help = Obs.Metrics.counter metrics ~help name in
   {
     capacity = max 1 capacity;
     mutex = Mutex.create ();
@@ -563,17 +556,23 @@ let create ?(capacity = 512) ?(corrupt = fun () -> false) () =
     recency = Queue.create ();
     tick = 0;
     corrupt;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    corruptions = 0;
+    metrics;
+    hits = counter "memo_hits_total" "memo lookups served";
+    misses = counter "memo_misses_total" "memo lookups missed";
+    evictions = counter "memo_evictions_total" "memo LRU evictions";
+    corruptions =
+      counter "memo_corruptions_total"
+        "memo entries dropped on checksum mismatch";
+    bypasses = counter "memo_bypass_total" "nests not memoizable (oversized)";
   }
+
+let metrics t = t.metrics
+let bypass t = Obs.Metrics.incr t.bypasses
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let size t = locked t (fun () -> SMap.cardinal t.table)
 
 type stats = {
   st_hits : int;
@@ -586,10 +585,10 @@ type stats = {
 let stats t =
   locked t (fun () ->
       {
-        st_hits = t.hits;
-        st_misses = t.misses;
-        st_evictions = t.evictions;
-        st_corruptions = t.corruptions;
+        st_hits = Obs.Metrics.counter_value t.hits;
+        st_misses = Obs.Metrics.counter_value t.misses;
+        st_evictions = Obs.Metrics.counter_value t.evictions;
+        st_corruptions = Obs.Metrics.counter_value t.corruptions;
         st_size = SMap.cardinal t.table;
       })
 
@@ -611,8 +610,7 @@ let rec evict_lru t =
         match SMap.find_opt key t.table with
         | Some (_, latest) when latest = tk ->
             t.table <- SMap.remove key t.table;
-            t.evictions <- t.evictions + 1;
-            Obs.Metrics.incr (metric "memo_evictions_total" "memo LRU evictions");
+            Obs.Metrics.incr t.evictions;
             evict_lru t
         | _ -> evict_lru t)
 
@@ -631,28 +629,23 @@ let find (t : 'r t) (prep : prep) : 'r entry option =
     when Array.length e.e_names = Array.length prep.p_names
          && (e.e_names = prep.p_names || not e.e_exact) ->
       if
-        t.hits land verify_mask = 0
+        Obs.Metrics.counter_value t.hits land verify_mask = 0
         && checksum (e.e_stmts, e.e_reports, e.e_fresh) <> Lazy.force e.e_sum
       then begin
         (* bit-rot defense, mirroring the result cache's checksum *)
         t.table <- SMap.remove prep.p_key t.table;
-        t.corruptions <- t.corruptions + 1;
-        Obs.Metrics.incr
-          (metric "memo_corruptions_total" "memo entries dropped on checksum mismatch");
-        t.misses <- t.misses + 1;
-        Obs.Metrics.incr (metric "memo_misses_total" "memo lookups missed");
+        Obs.Metrics.incr t.corruptions;
+        Obs.Metrics.incr t.misses;
         None
       end
       else begin
         let tk = touch t prep.p_key in
         t.table <- SMap.add prep.p_key (e, tk) t.table;
-        t.hits <- t.hits + 1;
-        Obs.Metrics.incr (metric "memo_hits_total" "memo lookups served");
+        Obs.Metrics.incr t.hits;
         Some e
       end
   | _ ->
-      t.misses <- t.misses + 1;
-      Obs.Metrics.incr (metric "memo_misses_total" "memo lookups missed");
+      Obs.Metrics.incr t.misses;
       None
 
 (* chaos poison: flip the first sequential DO of the stored statements to

@@ -10,9 +10,9 @@
     A bounded, mutex-guarded LRU shared across worker domains caches the
     finished statements plus decision reports; replays are byte-identical
     with a direct run (fresh names are re-drawn from the live counter,
-    not copied).  Exports [memo_hits_total] / [memo_misses_total] /
-    [memo_bypass_total] (plus evictions and checksum corruptions) through
-    {!Obs.Metrics.global}. *)
+    not copied).  Each table counts its [memo_hits_total] /
+    [memo_misses_total] / [memo_bypass_total] (plus evictions and
+    checksum corruptions) in its own registry ({!metrics}). *)
 
 module SSet = Fortran.Ast_utils.SSet
 
@@ -35,8 +35,8 @@ val prepare :
   Fortran.Ast.do_header ->
   Fortran.Ast.block ->
   prep option
-(** [None] bypasses the memo (oversized nest; counted
-    [memo_bypass_total]). *)
+(** [None] bypasses the memo (oversized nest); the caller counts it
+    with {!bypass}. *)
 
 type 'r entry = {
   e_names : string array;
@@ -56,6 +56,13 @@ val create : ?capacity:int -> ?corrupt:(unit -> bool) -> unit -> 'r t
     chaos hook: when it answers [true] at store time the entry's first
     sequential loop is flipped to CDOALL — self-consistently checksummed,
     so only the downstream validator gate can catch it. *)
+
+val metrics : 'r t -> Obs.Metrics.t
+(** The table's registry, the only storage of the counts {!stats}
+    reports. *)
+
+val bypass : 'r t -> unit
+(** Count a nest {!prepare} refused ([memo_bypass_total]). *)
 
 val find : 'r t -> prep -> 'r entry option
 (** LRU-touching lookup; checksum-verifies the entry (a mismatch drops
@@ -90,4 +97,3 @@ type stats = {
 }
 
 val stats : 'r t -> stats
-val size : 'r t -> int

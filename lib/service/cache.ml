@@ -13,40 +13,34 @@ type 'a t = {
   capacity : int;
   mutex : Mutex.t;
   mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  metrics : Obs.Metrics.t;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
+  evictions : Obs.Metrics.counter;
 }
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
-(* mirrored into the process-wide registry so `--metrics` sees cache
-   behaviour without a Server.stats call *)
-let m_hits =
-  Obs.Metrics.counter Obs.Metrics.global
-    ~help:"cache lookups served from the table" "service_cache_hits_total"
-
-let m_misses =
-  Obs.Metrics.counter Obs.Metrics.global ~help:"cache lookups that missed"
-    "service_cache_misses_total"
-
-let m_evictions =
-  Obs.Metrics.counter Obs.Metrics.global
-    ~help:"entries evicted to stay under capacity"
-    "service_cache_evictions_total"
-
 let create ~capacity =
   if capacity < 0 then invalid_arg "Cache.create: capacity < 0";
+  let metrics = Obs.Metrics.create () in
+  let counter name help = Obs.Metrics.counter metrics ~help name in
   {
     table = Hashtbl.create (max 16 capacity);
     recency = Queue.create ();
     capacity;
     mutex = Mutex.create ();
     tick = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
+    metrics;
+    hits =
+      counter "service_cache_hits_total" "cache lookups served from the table";
+    misses = counter "service_cache_misses_total" "cache lookups that missed";
+    evictions =
+      counter "service_cache_evictions_total"
+        "entries evicted to stay under capacity";
   }
+
+let metrics c = c.metrics
 
 let digest content = Digest.to_hex (Digest.string content)
 
@@ -63,13 +57,11 @@ let find c key =
   with_lock c (fun () ->
       match Hashtbl.find_opt c.table key with
       | Some e ->
-          c.hits <- c.hits + 1;
-          Obs.Metrics.incr m_hits;
+          Obs.Metrics.incr c.hits;
           touch c key e;
           Some e.value
       | None ->
-          c.misses <- c.misses + 1;
-          Obs.Metrics.incr m_misses;
+          Obs.Metrics.incr c.misses;
           None)
 
 let evict_lru c =
@@ -80,8 +72,7 @@ let evict_lru c =
         match Hashtbl.find_opt c.table key with
         | Some e when e.stamp = stamp ->
             Hashtbl.remove c.table key;
-            c.evictions <- c.evictions + 1;
-            Obs.Metrics.incr m_evictions
+            Obs.Metrics.incr c.evictions
         | _ -> go () (* stale pair: entry touched since, or gone *))
   in
   go ()
@@ -113,9 +104,9 @@ let export c =
 let stats c =
   with_lock c (fun () ->
       {
-        hits = c.hits;
-        misses = c.misses;
-        evictions = c.evictions;
+        hits = Obs.Metrics.counter_value c.hits;
+        misses = Obs.Metrics.counter_value c.misses;
+        evictions = Obs.Metrics.counter_value c.evictions;
         entries = Hashtbl.length c.table;
       })
 

@@ -42,6 +42,10 @@ val export : 'a t -> (string * 'a) list
     order.  Does {e not} refresh recency or count hits — exporting the
     warm set for replication must not perturb the LRU order. *)
 
+val metrics : 'a t -> Obs.Metrics.t
+(** The cache's registry, the only storage of the counts {!stats}
+    reports. *)
+
 val stats : 'a t -> stats
 
 val hit_rate : stats -> float

@@ -79,23 +79,52 @@ let service_sites =
 
 let net_sites = [ Accept_drop; Read_stall; Trunc_write; Garbage_frame ]
 
+(* [draws] numbers each site's decisions (decision [n] is a pure
+   function of it), so it is the schedule, not a statistic; what fired
+   is counted only by the registry's instruments *)
 type t = {
   seed : int;
   stealth : bool;
   delay_s : float;
   probs : float array;  (* indexed by site_index; 0 = site disabled *)
   draws : int Atomic.t array;
-  fired : int Atomic.t array;
+  metrics : Obs.Metrics.t;
+  m_draws : Obs.Metrics.counter;
+  m_fired : Obs.Metrics.counter array;  (* indexed by site_index *)
 }
 
+(* a Prometheus name cannot hold the '-' of "memo-corrupt" *)
+let fired_metric_name s =
+  Printf.sprintf "service_fault_fired_%s_total"
+    (String.map (function '-' -> '_' | c -> c) (site_name s))
+
+let make ~seed ~stealth ~delay_s probs =
+  let metrics = Obs.Metrics.create () in
+  {
+    seed;
+    stealth;
+    delay_s;
+    probs;
+    draws = Array.init n_sites (fun _ -> Atomic.make 0);
+    metrics;
+    m_draws =
+      Obs.Metrics.counter metrics ~help:"fault-site decisions drawn"
+        "service_fault_draws_total";
+    m_fired =
+      Array.of_list
+        (List.map
+           (fun s ->
+             Obs.Metrics.counter metrics ~help:"injected faults fired, by site"
+               (fired_metric_name s))
+           all_sites);
+  }
+
+(* the inert injector never fires, so it puts nothing on a page: its
+   counters stay out of the (empty) registry it reports *)
 let none =
   {
-    seed = 0;
-    stealth = false;
-    delay_s = 0.0;
-    probs = Array.make n_sites 0.0;
-    draws = Array.init n_sites (fun _ -> Atomic.make 0);
-    fired = Array.init n_sites (fun _ -> Atomic.make 0);
+    (make ~seed:0 ~stealth:false ~delay_s:0.0 (Array.make n_sites 0.0)) with
+    metrics = Obs.Metrics.create ();
   }
 
 let create ?(seed = 42) ?(stealth = false) ?(delay_ms = 5.0) sites =
@@ -106,34 +135,13 @@ let create ?(seed = 42) ?(stealth = false) ?(delay_ms = 5.0) sites =
         invalid_arg "Fault.create: probability outside [0,1]";
       probs.(site_index s) <- p)
     sites;
-  {
-    seed;
-    stealth;
-    delay_s = Float.max 0.0 delay_ms /. 1000.0;
-    probs;
-    draws = Array.init n_sites (fun _ -> Atomic.make 0);
-    fired = Array.init n_sites (fun _ -> Atomic.make 0);
-  }
+  make ~seed ~stealth ~delay_s:(Float.max 0.0 delay_ms /. 1000.0) probs
 
 let active t = Array.exists (fun p -> p > 0.0) t.probs
 let stealth t = t.stealth
 let delay_s t = t.delay_s
 let set_prob t site p = t.probs.(site_index site) <- p
-
-(* injection activity is also visible through the metrics registry; the
-   handles are resolved once (fire runs on every attempt's hot path) *)
-let m_draws =
-  Obs.Metrics.counter Obs.Metrics.global
-    ~help:"fault-site decisions drawn" "service_fault_draws_total"
-
-let m_fired_by_site =
-  Array.of_list
-    (List.map
-       (fun s ->
-         Obs.Metrics.counter Obs.Metrics.global
-           ~help:"injected faults fired, by site"
-           (Printf.sprintf "service_fault_fired_%s_total" (site_name s)))
-       all_sites)
+let metrics t = t.metrics
 
 (* splitmix64 finalizer over (seed, site, draw number) *)
 let mix64 z =
@@ -159,12 +167,9 @@ let fire t site =
   if p <= 0.0 then false
   else begin
     let n = Atomic.fetch_and_add t.draws.(i) 1 in
-    Obs.Metrics.incr m_draws;
+    Obs.Metrics.incr t.m_draws;
     let hit = unit_float ~seed:t.seed ~site:i ~n < p in
-    if hit then begin
-      Atomic.incr t.fired.(i);
-      Obs.Metrics.incr m_fired_by_site.(i)
-    end;
+    if hit then Obs.Metrics.incr t.m_fired.(i);
     hit
   end
 
@@ -172,11 +177,11 @@ let log t =
   List.map
     (fun s ->
       let i = site_index s in
-      (s, Atomic.get t.draws.(i), Atomic.get t.fired.(i)))
+      (s, Atomic.get t.draws.(i), Obs.Metrics.counter_value t.m_fired.(i)))
     all_sites
 
 let total_fired t =
-  Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.fired
+  Array.fold_left (fun acc c -> acc + Obs.Metrics.counter_value c) 0 t.m_fired
 
 let log_to_string t =
   let lines =

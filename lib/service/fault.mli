@@ -71,6 +71,14 @@ val fire : t -> site -> bool
 val log : t -> (site * int * int) list
 (** Per site: (site, draws, fired). *)
 
+val metrics : t -> Obs.Metrics.t
+(** The injector's registry, where {!log} and {!total_fired} read the
+    fired counts; empty for {!none}, which never fires. *)
+
+val fired_metric_name : site -> string
+(** [service_fault_fired_<site>_total], with the ['-'] of a site name
+    written ['_'] (e.g. [service_fault_fired_memo_corrupt_total]). *)
+
 val total_fired : t -> int
 val log_to_string : t -> string
 

@@ -2,8 +2,10 @@
 
    Concurrency structure: submitters and workers meet at a
    Bounded_queue of tickets; each ticket carries its own mutex/condition
-   pair for the await rendezvous; service-wide counters live behind one
-   stats mutex; the worker slots and orphan list behind a pool mutex.
+   pair for the await rendezvous; the counters are the instruments of the
+   server's own registry (atomics, no lock), while the latency reservoir
+   and the breaker live behind one stats mutex; the worker slots and
+   orphan list behind a pool mutex.
 
    Robustness structure (inside-out):
    - every job attempt runs under an exception barrier, so an
@@ -22,6 +24,8 @@
      degraded but alive — half-opening on a timer to probe recovery;
    - cache entries carry a digest of their payload text; a corrupted
      entry is detected on hit, dropped, and recomputed. *)
+
+module M = Obs.Metrics
 
 type request = {
   req_name : string;
@@ -91,6 +95,36 @@ type entry = {
   e_replica : bool;  (* arrived via warm-cache replication, not computed *)
 }
 
+(* the server's instruments, all in its own registry: the only storage
+   of the counts {!stats} reports *)
+type instruments = {
+  submitted : M.counter;
+  completed : M.counter;
+  failed : M.counter;
+  timeout : M.counter;
+  cancelled : M.counter;
+  retries : M.counter;
+  rung_full : M.counter;
+  rung_conservative : M.counter;
+  rung_passthrough : M.counter;
+  degraded : M.counter;
+  respawns : M.counter;
+  corrupt_dropped : M.counter;
+  breaker_opened : M.counter;
+  replica_admitted : M.counter;
+  replica_rejected : M.counter;
+  replicated_hits : M.counter;
+  replica_gc : M.counter;
+  breaker_state : M.gauge;
+  queue_depth : M.gauge;
+  workers_busy : M.gauge;
+  job_seconds : M.histogram;
+  phase_parse : M.histogram;
+  phase_restructure : M.histogram;
+  phase_validate : M.histogram;
+  phase_perfmodel : M.histogram;
+}
+
 type t = {
   queue : ticket Bounded_queue.t;
   cache : entry Cache.t;
@@ -112,6 +146,11 @@ type t = {
   breaker_cooldown_s : float;
   wedge_after_s : float;  (** infinity = wedge detection off *)
   started_at : float;
+  metrics : M.t;
+  m : instruments;
+  mutable attached : M.t list;
+      (* registries of co-hosted objects (the replicator), on this
+         server's page and read by [stats] *)
   stat_mutex : Mutex.t;
   pool_mutex : Mutex.t;
   mutable slots : slot array;
@@ -119,27 +158,7 @@ type t = {
   mutable supervisor : unit Domain.t option;
   mutable stopping : bool;
   mutable shut : bool;  (* a shutdown drain has started (idempotence) *)
-  (* counters, under stat_mutex *)
-  mutable submitted : int;
-  mutable completed : int;
-  mutable failed : int;
-  mutable timed_out : int;
-  mutable cancelled : int;
-  mutable retries : int;
-  mutable rung_full : int;
-  mutable rung_conservative : int;
-  mutable rung_passthrough : int;
-  mutable degraded : int;  (* jobs served passthrough because breaker open *)
-  mutable respawns : int;
-  mutable corrupt_dropped : int;
-  mutable breaker_opened : int;
-  mutable replica_admitted : int;
-  mutable replica_rejected : int;  (* checksum mismatch or rung/capacity *)
-  mutable replicated_hits : int;  (* cache hits served from a replica *)
-  mutable replica_gc : int;  (* replicas dropped because ownership moved *)
-  mutable replication_source : (unit -> int * int) option;
-      (* outbound replication counters (pushed, skipped_down), wired by
-         cedard when a replicator is attached — stats-only *)
+  (* under stat_mutex *)
   mutable br_state : breaker_state;
   mutable br_failures : int;  (* consecutive real restructure failures *)
   mutable br_opened_at : float;
@@ -167,101 +186,68 @@ let with_lock m f =
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* ------------------------------------------------------------------ *)
-(* Registry instruments (process-wide; handles resolved once)          *)
+(* Registry instruments                                                *)
 (* ------------------------------------------------------------------ *)
 
-module M = Obs.Metrics
-
-let m_submitted =
-  M.counter M.global ~help:"jobs submitted" "service_jobs_submitted_total"
-
-let m_completed =
-  M.counter M.global ~help:"jobs completed" "service_jobs_completed_total"
-
-let m_failed = M.counter M.global ~help:"jobs failed" "service_jobs_failed_total"
-
-let m_timeout =
-  M.counter M.global ~help:"jobs timed out" "service_jobs_timeout_total"
-
-let m_cancelled =
-  M.counter M.global ~help:"jobs cancelled" "service_jobs_cancelled_total"
-
-let m_retries =
-  M.counter M.global ~help:"ladder retries and requeues"
-    "service_retries_total"
-
-let m_rung rung =
-  M.counter M.global ~help:"completed jobs, by producing rung"
-    (Printf.sprintf "service_rung_%s_total" (rung_name rung))
-
-let m_rung_full = m_rung Full
-let m_rung_conservative = m_rung Conservative
-let m_rung_passthrough = m_rung Passthrough
-
-let m_degraded =
-  M.counter M.global ~help:"jobs served passthrough because the breaker was open"
-    "service_degraded_total"
-
-let m_respawns =
-  M.counter M.global ~help:"worker domains respawned by the supervisor"
-    "service_worker_respawns_total"
-
-let m_corrupt_dropped =
-  M.counter M.global ~help:"cache entries dropped on digest mismatch"
-    "service_cache_corrupt_dropped_total"
-
-let m_breaker_opened =
-  M.counter M.global ~help:"circuit breaker open transitions"
-    "service_breaker_opened_total"
-
-let m_replica_admitted =
-  M.counter M.global ~help:"replicated cache entries admitted"
-    "service_replica_admitted_total"
-
-let m_replica_rejected =
-  M.counter M.global
-    ~help:"replicated cache entries rejected (checksum or capacity)"
-    "service_replica_rejected_total"
-
-let m_replicated_hits =
-  M.counter M.global ~help:"cache hits served from a replicated entry"
-    "service_replicated_hits_total"
-
-let m_replica_gc =
-  M.counter M.global
-    ~help:"replicated cache entries dropped because ring ownership moved"
-    "service_replica_gc_total"
-
-let m_breaker_state =
-  M.gauge M.global ~help:"breaker state (0 closed, 1 half-open, 2 open)"
-    "service_breaker_state"
-
-let m_queue_depth =
-  M.gauge M.global ~help:"tickets waiting in the queue" "service_queue_depth"
-
-let m_workers_busy =
-  M.gauge M.global ~help:"worker domains currently running a job"
-    "service_workers_busy"
-
-let m_job_seconds =
-  M.histogram M.global ~help:"job latency, submit to resolve"
-    "service_job_seconds"
-
-let m_phase_parse =
-  M.histogram M.global ~help:"parse phase duration"
-    "service_phase_parse_seconds"
-
-let m_phase_restructure =
-  M.histogram M.global ~help:"restructure phase duration"
-    "service_phase_restructure_seconds"
-
-let m_phase_validate =
-  M.histogram M.global ~help:"validate phase duration"
-    "service_phase_validate_seconds"
-
-let m_phase_perfmodel =
-  M.histogram M.global ~help:"performance-model phase duration"
-    "service_phase_perfmodel_seconds"
+let instruments reg =
+  let counter name help = M.counter reg ~help name in
+  let rung r =
+    counter
+      (Printf.sprintf "service_rung_%s_total" (rung_name r))
+      "completed jobs, by producing rung"
+  in
+  let phase name help =
+    M.histogram reg ~help (Printf.sprintf "service_phase_%s_seconds" name)
+  in
+  {
+    submitted = counter "service_jobs_submitted_total" "jobs submitted";
+    completed = counter "service_jobs_completed_total" "jobs completed";
+    failed = counter "service_jobs_failed_total" "jobs failed";
+    timeout = counter "service_jobs_timeout_total" "jobs timed out";
+    cancelled = counter "service_jobs_cancelled_total" "jobs cancelled";
+    retries = counter "service_retries_total" "ladder retries and requeues";
+    rung_full = rung Full;
+    rung_conservative = rung Conservative;
+    rung_passthrough = rung Passthrough;
+    degraded =
+      counter "service_degraded_total"
+        "jobs served passthrough because the breaker was open";
+    respawns =
+      counter "service_worker_respawns_total"
+        "worker domains respawned by the supervisor";
+    corrupt_dropped =
+      counter "service_cache_corrupt_dropped_total"
+        "cache entries dropped on digest mismatch";
+    breaker_opened =
+      counter "service_breaker_opened_total" "circuit breaker open transitions";
+    replica_admitted =
+      counter "service_replica_admitted_total"
+        "replicated cache entries admitted";
+    replica_rejected =
+      counter "service_replica_rejected_total"
+        "replicated cache entries rejected (checksum or capacity)";
+    replicated_hits =
+      counter "service_replicated_hits_total"
+        "cache hits served from a replicated entry";
+    replica_gc =
+      counter "service_replica_gc_total"
+        "replicated cache entries dropped because ring ownership moved";
+    breaker_state =
+      M.gauge reg ~help:"breaker state (0 closed, 1 half-open, 2 open)"
+        "service_breaker_state";
+    queue_depth =
+      M.gauge reg ~help:"tickets waiting in the queue" "service_queue_depth";
+    workers_busy =
+      M.gauge reg ~help:"worker domains currently running a job"
+        "service_workers_busy";
+    job_seconds =
+      M.histogram reg ~help:"job latency, submit to resolve"
+        "service_job_seconds";
+    phase_parse = phase "parse" "parse phase duration";
+    phase_restructure = phase "restructure" "restructure phase duration";
+    phase_validate = phase "validate" "validate phase duration";
+    phase_perfmodel = phase "perfmodel" "performance-model phase duration";
+  }
 
 let breaker_gauge_value = function
   | Br_closed -> 0.0
@@ -299,27 +285,16 @@ let resolve t ticket outcome =
     let latency_ms = (now () -. ticket.tk_submitted) *. 1000.0 in
     (match outcome with
     | Done { payload; _ } -> (
-        M.incr m_completed;
+        M.incr t.m.completed;
         match payload.p_rung with
-        | Full -> M.incr m_rung_full
-        | Conservative -> M.incr m_rung_conservative
-        | Passthrough -> M.incr m_rung_passthrough)
-    | Failed _ -> M.incr m_failed
-    | Timeout -> M.incr m_timeout
-    | Cancelled -> M.incr m_cancelled);
-    M.observe m_job_seconds (latency_ms /. 1000.0);
-    with_lock t.stat_mutex (fun () ->
-        (match outcome with
-        | Done { payload; _ } -> (
-            t.completed <- t.completed + 1;
-            match payload.p_rung with
-            | Full -> t.rung_full <- t.rung_full + 1
-            | Conservative -> t.rung_conservative <- t.rung_conservative + 1
-            | Passthrough -> t.rung_passthrough <- t.rung_passthrough + 1)
-        | Failed _ -> t.failed <- t.failed + 1
-        | Timeout -> t.timed_out <- t.timed_out + 1
-        | Cancelled -> t.cancelled <- t.cancelled + 1);
-        Reservoir.add t.latencies latency_ms)
+        | Full -> M.incr t.m.rung_full
+        | Conservative -> M.incr t.m.rung_conservative
+        | Passthrough -> M.incr t.m.rung_passthrough)
+    | Failed _ -> M.incr t.m.failed
+    | Timeout -> M.incr t.m.timeout
+    | Cancelled -> M.incr t.m.cancelled);
+    M.observe t.m.job_seconds (latency_ms /. 1000.0);
+    with_lock t.stat_mutex (fun () -> Reservoir.add t.latencies latency_ms)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -381,19 +356,13 @@ let cache_find t key =
   | None -> None
   | Some e ->
       if Cache.digest e.e_payload.p_text = e.e_digest then begin
-        if e.e_replica then begin
-          M.incr m_replicated_hits;
-          with_lock t.stat_mutex (fun () ->
-              t.replicated_hits <- t.replicated_hits + 1)
-        end;
+        if e.e_replica then M.incr t.m.replicated_hits;
         Some e.e_payload
       end
       else begin
         (* bytes rotted while resident: drop, recompute fresh *)
         Cache.remove t.cache key;
-        M.incr m_corrupt_dropped;
-        with_lock t.stat_mutex (fun () ->
-            t.corrupt_dropped <- t.corrupt_dropped + 1);
+        M.incr t.m.corrupt_dropped;
         None
       end
 
@@ -409,15 +378,9 @@ let admit_replica t ~key ~digest payload =
   in
   if ok then begin
     Cache.add t.cache key { e_digest = digest; e_payload = payload; e_replica = true };
-    M.incr m_replica_admitted;
-    with_lock t.stat_mutex (fun () ->
-        t.replica_admitted <- t.replica_admitted + 1)
+    M.incr t.m.replica_admitted
   end
-  else begin
-    M.incr m_replica_rejected;
-    with_lock t.stat_mutex (fun () ->
-        t.replica_rejected <- t.replica_rejected + 1)
-  end;
+  else M.incr t.m.replica_rejected;
   ok
 
 let backtrace_hint () =
@@ -456,7 +419,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
   let a =
   try
     let prog =
-      timed "parse" m_phase_parse (fun () ->
+      timed "parse" t.m.phase_parse (fun () ->
           Fortran.Parser.parse_program r.req_source)
     in
     match rung with
@@ -468,7 +431,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
             ~target:r.req_options.Restructurer.Options.target prog
         in
         let cycles, words =
-          timed "perfmodel" m_phase_perfmodel (fun () ->
+          timed "perfmodel" t.m.phase_perfmodel (fun () ->
               match
                 Perfmodel.Model.evaluate
                   ~cfg:r.req_options.Restructurer.Options.machine prog
@@ -500,7 +463,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
           Restructurer.Driver.restructure ~interrupt:over_deadline
             ?memo:t.memo opts prog
         in
-        M.observe m_phase_restructure (now () -. t0);
+        M.observe t.m.phase_restructure (now () -. t0);
         if over_deadline () then A_timeout
         else
           let text =
@@ -514,7 +477,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
           let rejected =
             if not opts.Restructurer.Options.validate then None
             else
-              timed "validate" m_phase_validate (fun () ->
+              timed "validate" t.m.phase_validate (fun () ->
                   match
                     Validate.check_output
                       ~target:opts.Restructurer.Options.target text
@@ -544,7 +507,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
           | Some msg -> A_failed msg
           | None ->
               let cycles, words =
-                timed "perfmodel" m_phase_perfmodel (fun () ->
+                timed "perfmodel" t.m.phase_perfmodel (fun () ->
                     match
                       Perfmodel.Model.evaluate
                         ~cfg:opts.Restructurer.Options.machine
@@ -598,8 +561,7 @@ let run_ladder t ws ticket : outcome * bool =
         (Done { payload; cached = false }, payload.p_rung <> Passthrough)
     | A_permanent msg -> (Failed msg, false)
     | (A_failed _ | A_timeout) as a when idx + 1 < Array.length rungs ->
-        with_lock t.stat_mutex (fun () -> t.retries <- t.retries + 1);
-        M.incr m_retries;
+        M.incr t.m.retries;
         ignore a;
         (* exponential backoff, then a fresh deadline budget for the
            cheaper rung — the original deadline died with the attempt *)
@@ -630,12 +592,11 @@ let breaker_route t =
             end
             else `Degraded)
   in
-  M.set_gauge m_breaker_state (breaker_gauge_value t.br_state);
+  M.set_gauge t.m.breaker_state (breaker_gauge_value t.br_state);
   route
 
 let breaker_note t ~probe ~restructure_ok ~tainted =
   with_lock t.stat_mutex (fun () ->
-      let opened_before = t.breaker_opened in
       (if tainted then begin
         (* chaos-injected failure: never counts against real capability;
            a tainted probe is inconclusive, so re-open and re-arm the
@@ -652,7 +613,7 @@ let breaker_note t ~probe ~restructure_ok ~tainted =
       else if probe then begin
         t.br_state <- Br_open;
         t.br_opened_at <- now ();
-        t.breaker_opened <- t.breaker_opened + 1
+        M.incr t.m.breaker_opened
       end
       else begin
         t.br_failures <- t.br_failures + 1;
@@ -660,13 +621,11 @@ let breaker_note t ~probe ~restructure_ok ~tainted =
         then begin
           t.br_state <- Br_open;
           t.br_opened_at <- now ();
-          t.breaker_opened <- t.breaker_opened + 1;
+          M.incr t.m.breaker_opened;
           t.br_failures <- 0
         end
       end);
-      if t.breaker_opened > opened_before then
-        M.incr ~by:(t.breaker_opened - opened_before) m_breaker_opened;
-      M.set_gauge m_breaker_state (breaker_gauge_value t.br_state))
+      M.set_gauge t.m.breaker_state (breaker_gauge_value t.br_state))
 
 (* ------------------------------------------------------------------ *)
 (* Job lifecycle                                                       *)
@@ -710,9 +669,7 @@ let process t (ws : wstate) ticket =
                degraded but alive *)
             match execute_attempt t ws ticket Passthrough with
             | A_done payload ->
-                M.incr m_degraded;
-                with_lock t.stat_mutex (fun () ->
-                    t.degraded <- t.degraded + 1);
+                M.incr t.m.degraded;
                 Obs.Trace.attr jsp "degraded" "true";
                 finish (Done { payload; cached = false })
             | A_permanent msg | A_failed msg -> finish (Failed msg)
@@ -733,10 +690,11 @@ let rec worker_loop t (slot : slot) (ws : wstate) =
     | Some ticket ->
         ws.w_ticket <- Some ticket;
         ws.w_heartbeat <- now ();
-        M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
-        M.add_gauge m_workers_busy 1.0;
+        M.set_gauge t.m.queue_depth
+          (float_of_int (Bounded_queue.length t.queue));
+        M.add_gauge t.m.workers_busy 1.0;
         Fun.protect
-          ~finally:(fun () -> M.add_gauge m_workers_busy (-1.0))
+          ~finally:(fun () -> M.add_gauge t.m.workers_busy (-1.0))
           (fun () -> process t ws ticket);
         ws.w_ticket <- None;
         worker_loop t slot ws
@@ -775,8 +733,7 @@ let salvage_ticket t ?(outcome = Failed "worker domain died while running \
       then begin
         ticket.tk_requeues <- ticket.tk_requeues + 1;
         ticket.tk_deadline <- now () +. t.timeout_s;
-        M.incr m_retries;
-        with_lock t.stat_mutex (fun () -> t.retries <- t.retries + 1);
+        M.incr t.m.retries;
         (* never block the one thread healing the pool on backpressure *)
         if not (Bounded_queue.try_push t.queue ticket) then
           resolve t ticket outcome
@@ -797,9 +754,7 @@ let supervisor_sweep t =
             salvage_ticket t ws;
             if not t.stopping then begin
               spawn_worker t slot;
-              with_lock t.stat_mutex (fun () ->
-                  t.respawns <- t.respawns + 1);
-              M.incr m_respawns
+              M.incr t.m.respawns
             end
           end
           else if
@@ -823,9 +778,7 @@ let supervisor_sweep t =
             slot.s_domain <- None;
             if not t.stopping then begin
               spawn_worker t slot;
-              with_lock t.stat_mutex (fun () ->
-                  t.respawns <- t.respawns + 1);
-              M.incr m_respawns
+              M.incr t.m.respawns
             end
           end)
         t.slots;
@@ -854,6 +807,7 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
     if oversubscribe then max 1 workers
     else max 1 (min workers (Domain.recommended_domain_count ()))
   in
+  let metrics = M.create () in
   let t =
     {
       queue = Bounded_queue.create ~capacity:queue_capacity;
@@ -877,6 +831,9 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       wedge_after_s =
         (if wedge_after_ms > 0.0 then wedge_after_ms /. 1000.0 else infinity);
       started_at = now ();
+      metrics;
+      m = instruments metrics;
+      attached = [];
       stat_mutex = Mutex.create ();
       pool_mutex = Mutex.create ();
       slots = [||];
@@ -884,24 +841,6 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       supervisor = None;
       stopping = false;
       shut = false;
-      submitted = 0;
-      completed = 0;
-      failed = 0;
-      timed_out = 0;
-      cancelled = 0;
-      retries = 0;
-      rung_full = 0;
-      rung_conservative = 0;
-      rung_passthrough = 0;
-      degraded = 0;
-      respawns = 0;
-      corrupt_dropped = 0;
-      breaker_opened = 0;
-      replica_admitted = 0;
-      replica_rejected = 0;
-      replicated_hits = 0;
-      replica_gc = 0;
-      replication_source = None;
       br_state = Br_closed;
       br_failures = 0;
       br_opened_at = 0.0;
@@ -957,15 +896,14 @@ let make_ticket ?(trace = 0) t request =
 
 let submit ?trace t request =
   let ticket = make_ticket ?trace t request in
-  M.incr m_submitted;
-  with_lock t.stat_mutex (fun () -> t.submitted <- t.submitted + 1);
+  M.incr t.m.submitted;
   if source_too_large t request then
     (* request hygiene: reject before the source ever reaches a parser *)
     resolve t ticket (Failed (oversize_message t request))
   else if not (Bounded_queue.push t.queue ticket) then
     resolve t ticket Cancelled
   else
-    M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
+    M.set_gauge t.m.queue_depth (float_of_int (Bounded_queue.length t.queue));
   ticket
 
 (* Non-blocking admission for front-ends that must shed load instead of
@@ -974,8 +912,7 @@ let submit ?trace t request =
 let try_submit ?trace t request =
   if source_too_large t request then begin
     let ticket = make_ticket ?trace t request in
-    M.incr m_submitted;
-    with_lock t.stat_mutex (fun () -> t.submitted <- t.submitted + 1);
+    M.incr t.m.submitted;
     resolve t ticket (Failed (oversize_message t request));
     Some ticket
   end
@@ -983,9 +920,8 @@ let try_submit ?trace t request =
     let ticket = make_ticket ?trace t request in
     if not (Bounded_queue.try_push t.queue ticket) then None
     else begin
-      M.incr m_submitted;
-      with_lock t.stat_mutex (fun () -> t.submitted <- t.submitted + 1);
-      M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
+      M.incr t.m.submitted;
+      M.set_gauge t.m.queue_depth (float_of_int (Bounded_queue.length t.queue));
       Some ticket
     end
   end
@@ -1026,7 +962,14 @@ let breaker_state_name t =
   | Br_open -> "open"
   | Br_half_open -> "half-open"
 
-let set_replication_source t f = t.replication_source <- Some f
+let metrics t = t.metrics
+
+let registries t =
+  (t.metrics :: Cache.metrics t.cache :: Fault.metrics t.fault
+   :: Option.to_list (Option.map Restructurer.Memo.metrics t.memo))
+  @ t.attached
+
+let attach_registry t reg = t.attached <- t.attached @ [ reg ]
 
 (* every resident cache entry as (key, digest, payload): what the
    replicator re-pushes when the ring changes.  Rides [Cache.export],
@@ -1052,50 +995,52 @@ let gc_replicas t ~keep =
         else n)
       0 (Cache.export t.cache)
   in
-  if dropped > 0 then begin
-    M.incr ~by:dropped m_replica_gc;
-    with_lock t.stat_mutex (fun () -> t.replica_gc <- t.replica_gc + dropped)
-  end;
+  if dropped > 0 then M.incr ~by:dropped t.m.replica_gc;
   dropped
 
-let memo_stats t = Option.map Restructurer.Driver.memo_stats t.memo
+(* a counter of the attached registries, by name: how the stats view
+   reads the replicator it does not own *)
+let attached_count t name =
+  List.fold_left
+    (fun n reg -> match M.find reg name with `Counter v -> n + v | _ -> n)
+    0 t.attached
 
 let stats t =
-  let replica_pushed, replica_skipped_down =
-    match t.replication_source with Some f -> f () | None -> (0, 0)
-  in
+  let v = M.counter_value in
   let memo_hits, memo_misses, memo_entries =
-    match memo_stats t with
+    match Option.map Restructurer.Memo.stats t.memo with
     | None -> (0, 0, 0)
     | Some m ->
         (m.Restructurer.Memo.st_hits, m.Restructurer.Memo.st_misses,
          m.Restructurer.Memo.st_size)
   in
+  let cache = Cache.stats t.cache in
+  let completed = v t.m.completed in
+  let wall_s = now () -. t.started_at in
   with_lock t.stat_mutex (fun () ->
-      let cache = Cache.stats t.cache in
       let latencies = Reservoir.sample t.latencies in
-      let wall_s = now () -. t.started_at in
       {
         Stats.shard_id = t.shard_id;
-        submitted = t.submitted;
-        completed = t.completed;
-        failed = t.failed;
-        timed_out = t.timed_out;
-        cancelled = t.cancelled;
-        retries = t.retries;
-        rung_full = t.rung_full;
-        rung_conservative = t.rung_conservative;
-        rung_passthrough = t.rung_passthrough;
-        degraded = t.degraded;
-        respawns = t.respawns;
-        corrupt_dropped = t.corrupt_dropped;
-        breaker_opened = t.breaker_opened;
-        replica_admitted = t.replica_admitted;
-        replica_rejected = t.replica_rejected;
-        replicated_hits = t.replicated_hits;
-        replica_pushed;
-        replica_skipped_down;
-        replica_gc = t.replica_gc;
+        submitted = v t.m.submitted;
+        completed;
+        failed = v t.m.failed;
+        timed_out = v t.m.timeout;
+        cancelled = v t.m.cancelled;
+        retries = v t.m.retries;
+        rung_full = v t.m.rung_full;
+        rung_conservative = v t.m.rung_conservative;
+        rung_passthrough = v t.m.rung_passthrough;
+        degraded = v t.m.degraded;
+        respawns = v t.m.respawns;
+        corrupt_dropped = v t.m.corrupt_dropped;
+        breaker_opened = v t.m.breaker_opened;
+        replica_admitted = v t.m.replica_admitted;
+        replica_rejected = v t.m.replica_rejected;
+        replicated_hits = v t.m.replicated_hits;
+        replica_pushed = attached_count t "cluster_replication_pushed_total";
+        replica_skipped_down =
+          attached_count t "cluster_replication_skipped_down_total";
+        replica_gc = v t.m.replica_gc;
         memo_hits;
         memo_misses;
         memo_entries;
@@ -1110,7 +1055,7 @@ let stats t =
         latency_count = Reservoir.count t.latencies;
         wall_s;
         throughput =
-          (if wall_s > 0.0 then float_of_int t.completed /. wall_s else 0.0);
+          (if wall_s > 0.0 then float_of_int completed /. wall_s else 0.0);
       })
 
 (* Deterministic drain, reused verbatim by the SIGINT/SIGTERM path of

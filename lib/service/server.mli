@@ -156,18 +156,23 @@ val gc_replicas : t -> keep:(string -> bool) -> int
     shadow) entries it no longer owns.  Locally computed entries are
     never touched.  Counted in {!Stats.t}[.replica_gc]. *)
 
-val memo_stats : t -> Restructurer.Memo.stats option
-(** Counters of the shared nest-level memo; [None] when the memo was
-    disabled at {!create}. *)
-
 val export_cache : t -> (string * string * payload) list
 (** Every resident cache entry as [(key, digest, payload)], recency
     untouched — what the cluster replicator re-pushes when the ring
     changes so placement converges without recomputation. *)
 
-val set_replication_source : t -> (unit -> int * int) -> unit
-(** Wire the outbound-replication counters [(pushed, skipped_down)]
-    into {!stats} (cedard calls this when a replicator is attached). *)
+val metrics : t -> Obs.Metrics.t
+(** The server's registry, the only storage of the counts {!stats}
+    reports.  A {!Net.Server} in front of it registers here too. *)
+
+val registries : t -> Obs.Metrics.t list
+(** This server's metrics page: {!metrics}, its cache's, injector's and
+    memo's, and the {!attach_registry} ones. *)
+
+val attach_registry : t -> Obs.Metrics.t -> unit
+(** Put a co-hosted replicator's registry on this server's page;
+    {!stats} reads its [cluster_replication_pushed_total] and
+    [cluster_replication_skipped_down_total]. *)
 
 val effective_workers : t -> int
 (** Worker slots in the pool (after the oversubscription cap). *)
@@ -201,7 +206,7 @@ val run : t -> request -> outcome
 (** [submit] then [await]: the synchronous client. *)
 
 val stats : t -> Stats.t
-(** Snapshot of the counters so far. *)
+(** Snapshot of the counters so far, read from {!registries}. *)
 
 val shutdown : t -> Stats.t
 (** Deterministic drain: (1) close the queue, so every later submit

@@ -144,21 +144,19 @@ let test_traffic_replay_deterministic () =
     (String.length log1 > 0)
 
 let test_fault_metrics_track_ledger () =
-  (* the injector's global metrics counters must advance exactly in step
+  (* the injector's metrics counters must advance exactly in step
      with its own per-site ledger *)
-  let read name =
-    match Obs.Metrics.find Obs.Metrics.global name with
-    | `Counter n -> n
-    | _ -> 0
-  in
-  let site_counter s =
-    Printf.sprintf "service_fault_fired_%s_total" (Fault.site_name s)
-  in
-  let draws0 = read "service_fault_draws_total" in
-  let fired0 = List.map (fun s -> read (site_counter s)) Fault.all_sites in
   let fault =
     Fault.create ~seed:3 (List.map (fun s -> (s, 0.5)) Fault.all_sites)
   in
+  let read name =
+    match Obs.Metrics.find (Fault.metrics fault) name with
+    | `Counter n -> n
+    | _ -> 0
+  in
+  let site_counter = Fault.fired_metric_name in
+  let draws0 = read "service_fault_draws_total" in
+  let fired0 = List.map (fun s -> read (site_counter s)) Fault.all_sites in
   List.iter
     (fun s -> for _ = 1 to 40 do ignore (Fault.fire fault s) done)
     Fault.all_sites;
@@ -475,6 +473,100 @@ let test_corpus_survives_mixed_chaos () =
     (stats.Stats.completed + stats.Stats.failed + stats.Stats.timed_out
    + stats.Stats.cancelled)
 
+(* Every Stats field that an instrument also counts must read that
+   instrument: after a chaos traffic run (stealth, so the breaker opens
+   and degrades jobs), plus replica admissions, rejections and GC, and a
+   replicator registry attached, the two views agree field by field. *)
+let test_stats_read_the_instruments () =
+  let fault =
+    Fault.create ~seed:5 ~stealth:true ~delay_ms:1.0
+      (List.map
+         (fun s -> (s, if s = Fault.Exec_raise then 0.7 else 0.2))
+         Fault.service_sites)
+  in
+  let server =
+    Server.create ~workers:1 ~cache_capacity:4 ~timeout_ms:30_000.0
+      ~breaker_threshold:2 ~fault ()
+  in
+  let replicator = Obs.Metrics.create () in
+  Obs.Metrics.incr ~by:3
+    (Obs.Metrics.counter replicator "cluster_replication_pushed_total");
+  Obs.Metrics.incr
+    (Obs.Metrics.counter replicator "cluster_replication_skipped_down_total");
+  Server.attach_registry server replicator;
+  let cfg =
+    {
+      Traffic.requests = 60;
+      clients = 4;
+      seed = 11;
+      size_jitter = 0;
+      batch = 1;
+      validate = false;
+      target = Codegen.Target.Cedar;
+    }
+  in
+  ignore (Traffic.run server cfg);
+  let payload text =
+    {
+      Server.p_name = "replica";
+      p_text = text;
+      p_reports = [];
+      p_cycles = None;
+      p_global_words = None;
+      p_rung = Server.Full;
+    }
+  in
+  let admit key digest text =
+    ignore (Server.admit_replica server ~key ~digest (payload text))
+  in
+  admit "r1" (Cache.digest "x") "x";
+  admit "r2" "bad" "y";
+  ignore (Server.gc_replicas server ~keep:(fun _ -> false));
+  let stats = Stats.to_json (Server.shutdown server) in
+  let metrics = Obs.Metrics.to_json (Server.registries server) in
+  let field k = Obs.Json.to_int (Obs.Json.member k stats) in
+  let metric name =
+    match Obs.Json.member name metrics with
+    | Obs.Json.Null -> Alcotest.failf "%s is not on the page" name
+    | m -> Obs.Json.to_int (Obs.Json.member "value" m)
+  in
+  List.iter
+    (fun (key, name) ->
+      Alcotest.(check int) (key ^ " = " ^ name) (metric name) (field key))
+    [
+      ("submitted", "service_jobs_submitted_total");
+      ("completed", "service_jobs_completed_total");
+      ("failed", "service_jobs_failed_total");
+      ("timed_out", "service_jobs_timeout_total");
+      ("cancelled", "service_jobs_cancelled_total");
+      ("retries", "service_retries_total");
+      ("rung_full", "service_rung_full_total");
+      ("rung_conservative", "service_rung_conservative_total");
+      ("rung_passthrough", "service_rung_passthrough_total");
+      ("degraded", "service_degraded_total");
+      ("respawns", "service_worker_respawns_total");
+      ("corrupt_dropped", "service_cache_corrupt_dropped_total");
+      ("breaker_opened", "service_breaker_opened_total");
+      ("replica_admitted", "service_replica_admitted_total");
+      ("replica_rejected", "service_replica_rejected_total");
+      ("replicated_hits", "service_replicated_hits_total");
+      ("replica_pushed", "cluster_replication_pushed_total");
+      ("replica_skipped_down", "cluster_replication_skipped_down_total");
+      ("replica_gc", "service_replica_gc_total");
+      ("memo_hits", "memo_hits_total");
+      ("memo_misses", "memo_misses_total");
+      ("cache_hits", "service_cache_hits_total");
+      ("cache_misses", "service_cache_misses_total");
+      ("cache_evictions", "service_cache_evictions_total");
+    ];
+  Alcotest.(check int) "faults_injected = the fired counters"
+    (List.fold_left
+       (fun n s -> n + metric (Fault.fired_metric_name s))
+       0 Fault.all_sites)
+    (field "faults_injected");
+  Alcotest.(check bool) "the run injected faults and opened the breaker" true
+    (field "faults_injected" > 0 && field "breaker_opened" > 0)
+
 let tests =
   [
     Alcotest.test_case "fault: --chaos spec parsing" `Quick test_spec_parsing;
@@ -484,6 +576,8 @@ let tests =
       test_server_runs_reproducible;
     Alcotest.test_case "replay: seeded traffic is fully deterministic" `Quick
       test_traffic_replay_deterministic;
+    Alcotest.test_case "stats: every counted field reads its instrument"
+      `Quick test_stats_read_the_instruments;
     Alcotest.test_case "fault: metrics counters match the ledger" `Quick
       test_fault_metrics_track_ledger;
     Alcotest.test_case "survive: raise=1.0 -> passthrough for all" `Quick

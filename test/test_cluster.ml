@@ -1555,6 +1555,111 @@ let scrape port =
   slurp ();
   Buffer.contents buf
 
+(* the Prometheus metric-name pattern [a-zA-Z_:][a-zA-Z0-9_:]* *)
+let prometheus_name n =
+  n <> ""
+  && (match n.[0] with '0' .. '9' -> false | _ -> true)
+  && String.for_all
+       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true | _ -> false)
+       n
+
+let test_route_metric_names () =
+  let ids =
+    [ "a"; "a_b"; "a.b"; "a-b"; "a__b"; "a_2e_b"; "a_2d_b"; "_"; "."; "-"; "1" ]
+  in
+  let names = List.map Cluster.Proxy.route_metric_name ids in
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " is a valid name") true (prometheus_name n))
+    names;
+  Alcotest.(check int) "distinct ids, distinct names" (List.length ids)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check string) "letters and digits kept" "cluster_route_s1_total"
+    (Cluster.Proxy.route_metric_name "s1");
+  Alcotest.(check string) "escaped as Prometheus does"
+    "cluster_route_shard_2d_1_total"
+    (Cluster.Proxy.route_metric_name "shard-1")
+
+(* A proxy over ids a metric name cannot hold routes one submit to each;
+   its page carries only valid names and none of the shards' instruments,
+   and every count its stats and members views show is the value of its
+   cluster_* counter. *)
+let test_proxy_views_read_its_counters () =
+  with_svc @@ fun svc_a ->
+  with_svc @@ fun svc_b ->
+  let net_a = Net.Server.create Net.Server.default_cfg svc_a in
+  let net_b = Net.Server.create Net.Server.default_cfg svc_b in
+  Fun.protect ~finally:(fun () ->
+      Net.Server.drain net_a;
+      Net.Server.drain net_b)
+  @@ fun () ->
+  let ids = [ "shard-1"; "s.2" ] in
+  let proxy =
+    Cluster.Proxy.create ~probe_ms:10_000.0
+      [ mk_shard "shard-1" (Net.Server.port net_a);
+        mk_shard "s.2" (Net.Server.port net_b) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let ep = Cluster.Proxy.attach_metrics proxy ~port:0 in
+  with_proxy_client proxy @@ fun client ->
+  List.iter
+    (fun id -> submit_done client ~name:id (source_owned_by ids id ~name:id))
+    ids;
+  let page = scrape (Net.Metrics_http.port ep) in
+  let rec body_at i =
+    if i + 4 > String.length page then Alcotest.fail "no HTTP body"
+    else if String.sub page i 4 = "\r\n\r\n" then i + 4
+    else body_at (i + 1)
+  in
+  let body = String.sub page (body_at 0) (String.length page - body_at 0) in
+  String.split_on_char '\n' body
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.iter (fun l ->
+         let sample = List.hd (String.split_on_char ' ' l) in
+         let name = List.hd (String.split_on_char '{' sample) in
+         Alcotest.(check bool)
+           (name ^ " matches the name pattern")
+           true (prometheus_name name));
+  Alcotest.(check bool) "no shard instrument on the proxy's page" false
+    (contains page "service_jobs_");
+  let metrics =
+    match Net.Client.metrics_json client with
+    | Ok body -> Result.get_ok (Obs.Json.parse body)
+    | Error e -> Alcotest.failf "metrics_json: %s" e
+  in
+  let value name =
+    Obs.Json.to_int (Obs.Json.member "value" (Obs.Json.member name metrics))
+  in
+  let route id = value (Cluster.Proxy.route_metric_name id) in
+  List.iter
+    (fun id ->
+      Alcotest.(check int) (id ^ " routed once") 1 (route id))
+    ids;
+  let obj what = function
+    | Ok body -> Result.get_ok (Obs.Json.parse body)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let stats = Obs.Json.member "proxy" (obj "stats" (Net.Client.stats_json client)) in
+  let members =
+    Obs.Json.member "proxy" (obj "members" (Net.Client.members_json client))
+  in
+  let field view k = Obs.Json.to_int (Obs.Json.member k view) in
+  let routed = List.fold_left (fun n id -> n + route id) 0 ids in
+  List.iter
+    (fun (key, counter) ->
+      Alcotest.(check int) ("members " ^ key) counter (field members key);
+      if List.mem key [ "routed"; "failovers"; "shed" ] then
+        Alcotest.(check int) ("stats " ^ key) counter (field stats key))
+    [
+      ("routed", routed);
+      ("failovers", value "cluster_failover_total");
+      ("shed", value "cluster_proxy_shed_total");
+      ("stale_routes", value "cluster_proxy_stale_routes_total");
+      ("read_repairs", value "cluster_read_repair_total");
+      ("topology_changes", value "cluster_topology_changes_total");
+    ];
+  Alcotest.(check int) "routed_total is the sum" routed
+    (Cluster.Proxy.routed_total proxy)
+
 let test_proxy_thread_count () =
   (* the proxy's one thread is its event loop: the prober and the
      metrics endpoint are fibers on it, and there is no pool of
@@ -1709,7 +1814,7 @@ let test_proxy_read_repair_bounded () =
   Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
   let source = source_owned_by [ "a"; "b" ] "a" ~name:"repair" in
   let gauge =
-    Obs.Metrics.gauge Obs.Metrics.global "cluster_proxy_inflight"
+    Obs.Metrics.gauge (Cluster.Proxy.metrics proxy) "cluster_proxy_inflight"
   in
   let high = ref 0.0 and sampling = Atomic.make true in
   let sampler =
@@ -1812,6 +1917,10 @@ let tests =
       `Slow test_proxy_silent_shard_times_out;
     Alcotest.test_case "proxy: adds one OS thread, the loop" `Slow
       test_proxy_thread_count;
+    Alcotest.test_case "proxy: route counter names are valid and distinct"
+      `Quick test_route_metric_names;
+    Alcotest.test_case "proxy: views read its counters, page names valid"
+      `Quick test_proxy_views_read_its_counters;
     Alcotest.test_case "fibers: replicator and metrics endpoint add no thread"
       `Quick test_fiber_helpers_add_no_thread;
     Alcotest.test_case "fibers: drain with a metrics endpoint and queued pushes"

@@ -633,9 +633,11 @@ let test_reply_batching () =
   (* N pipelined requests arriving in one TCP segment are answered in a
      handful of corked flushes, not N writes — and the reply bytes are
      identical to N individually encoded frames *)
-  let flushes = Obs.Metrics.counter Obs.Metrics.global "net_flushes_total" in
   let n = 32 in
-  with_net @@ fun _svc _net port ->
+  with_net @@ fun svc _net port ->
+  let flushes =
+    Obs.Metrics.counter (Service.Server.metrics svc) "net_flushes_total"
+  in
   let fd = connect_raw port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1182,6 +1184,53 @@ let test_client_stream_reads () =
   check_mode "blocking" Net.Client.connect (fun f -> f ());
   check_mode "fiber" Net.Client.connect_fiber (fun f -> Aio.run (Aio.create ()) f)
 
+(* Two service + front-end pairs in one process: each pair's stats and
+   metrics views count the jobs it served and no others. *)
+let test_two_servers_count_their_own () =
+  let opts = Restructurer.Options.auto_1991 cedar in
+  let serve jobs =
+    with_net @@ fun _svc _net port ->
+    match Net.Client.connect (Net.Client.default_cfg ~port) with
+    | Error e -> Alcotest.failf "connect: %s" e
+    | Ok c ->
+        Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+        for i = 1 to jobs do
+          match
+            Net.Client.submit c ~name:(Printf.sprintf "j%d" i) ~options:opts
+              saxpy_source
+          with
+          | Ok (W.R_done _) -> ()
+          | _ -> Alcotest.fail "submit"
+        done;
+        let json what = function
+          | Ok body -> (
+              match Obs.Json.parse body with
+              | Ok j -> j
+              | Error e -> Alcotest.failf "%s JSON: %s" what e)
+          | Error e -> Alcotest.failf "%s: %s" what e
+        in
+        let stats = json "stats" (Net.Client.stats_json c) in
+        let metrics = json "metrics" (Net.Client.metrics_json c) in
+        let value name =
+          Obs.Json.to_int (Obs.Json.member "value" (Obs.Json.member name metrics))
+        in
+        ( Obs.Json.to_int (Obs.Json.member "submitted" stats),
+          value "service_jobs_submitted_total",
+          value "net_requests_total" )
+  in
+  (* the second pair starts while the first still serves *)
+  let a = ref (0, 0, 0) in
+  let first = Thread.create (fun () -> a := serve 3) () in
+  let b = serve 5 in
+  Thread.join first;
+  let check label jobs (submitted, metric, requests) =
+    Alcotest.(check int) (label ^ ": stats submitted") jobs submitted;
+    Alcotest.(check int) (label ^ ": jobs submitted metric") jobs metric;
+    Alcotest.(check int) (label ^ ": wire requests metric") jobs requests
+  in
+  check "first pair" 3 !a;
+  check "second pair" 5 b
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -1227,6 +1276,8 @@ let tests =
       `Slow test_idle_flood_byte_identical;
     Alcotest.test_case "metrics: http endpoint serves the dump" `Quick
       test_metrics_http;
+    Alcotest.test_case "metrics: two servers each count their own jobs"
+      `Quick test_two_servers_count_their_own;
     Alcotest.test_case "client: dead port fails fast" `Quick
       test_client_connect_fast_fail;
     Alcotest.test_case "client: stream reads, byte count, typed timeout"

@@ -424,6 +424,30 @@ let test_type_clash_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "counter name reused as histogram"
 
+let test_invalid_names_rejected () =
+  let r = M.create () in
+  List.iter
+    (fun name ->
+      match M.counter r name with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%S accepted as a metric name" name)
+    [ ""; "shard-1_total"; "a.b"; "1st"; "sp ace"; "q\"uote" ];
+  List.iter
+    (fun name -> ignore (M.gauge r name))
+    [ "ok_total"; "_lead"; "ns:rule"; "A9" ]
+
+let test_page_merges_registries () =
+  (* a page lists several registries: instruments merge in name order, a
+     registry listed twice counts once, and on a shared name the earlier
+     registry's instrument is the one shown *)
+  let a = M.create () and b = M.create () in
+  M.incr ~by:2 (M.counter a "b_total");
+  M.incr ~by:5 (M.counter b "a_total");
+  M.incr ~by:7 (M.counter b "b_total");
+  Alcotest.(check string) "merged, sorted, first wins"
+    "# TYPE a_total counter\na_total 5\n# TYPE b_total counter\nb_total 2\n"
+    (M.dump [ a; b; a ])
+
 let test_gauge_ops () =
   let r = M.create () in
   let g = M.gauge r "depth" in
@@ -438,7 +462,7 @@ let test_histogram_buckets () =
   List.iter (M.observe h) [ 0.05; 0.5; 5.0 ];
   Alcotest.(check int) "count" 3 (M.histogram_count h);
   Alcotest.(check (float 1e-9)) "sum" 5.55 (M.histogram_sum h);
-  let dump = M.dump r in
+  let dump = M.dump [ r ] in
   let has needle =
     let nl = String.length needle and tl = String.length dump in
     let rec go i =
@@ -476,7 +500,7 @@ let test_aio_metrics_in_global_dump () =
       in
       Aio.yield ();
       List.iter (fun f -> ignore (Aio.is_done f)) fibers);
-  let dump = M.dump M.global in
+  let dump = M.dump [ M.global ] in
   let has needle =
     let nl = String.length needle and tl = String.length dump in
     let rec go i =
@@ -518,7 +542,7 @@ let test_metrics_merge_across_domains () =
     (float_of_int (domains * per_domain))
     (M.gauge_value g)
 
-let test_find_and_reset () =
+let test_find () =
   let r = M.create () in
   let c = M.counter r "c" and g = M.gauge r "g" in
   ignore (M.histogram r "h");
@@ -533,19 +557,15 @@ let test_find_and_reset () =
   (match M.find r "h" with
   | `None -> ()
   | _ -> Alcotest.fail "histograms have no point read");
-  (match M.find r "missing" with
+  match M.find r "missing" with
   | `None -> ()
-  | _ -> Alcotest.fail "missing name");
-  M.reset r;
-  match M.find r "c" with
-  | `Counter 0 -> ()
-  | _ -> Alcotest.fail "reset keeps the counter registered at zero"
+  | _ -> Alcotest.fail "missing name"
 
 let test_dump_sorted_with_help () =
   let r = M.create () in
   ignore (M.counter ~help:"b help" r "bbb");
   ignore (M.counter r "aaa");
-  let dump = M.dump r in
+  let dump = M.dump [ r ] in
   let idx needle =
     let nl = String.length needle and tl = String.length dump in
     let rec go i =
@@ -567,7 +587,7 @@ let test_metrics_json_roundtrip () =
   M.set_gauge (M.gauge r "queue_depth") 2.0;
   M.observe (M.histogram ~buckets:[ 1.0 ] r "seconds") 0.5;
   let j =
-    try parse_json (Obs.Json.to_string (M.to_json r))
+    try parse_json (Obs.Json.to_string (M.to_json [ r ]))
     with Bad_json m -> Alcotest.failf "to_json output invalid: %s" m
   in
   (match obj_field "jobs_total" j with
@@ -604,7 +624,7 @@ let test_metrics_json_help_last () =
   M.incr (M.counter ~help:"jobs \"done\" \\ total" r "jobs_total");
   M.set_gauge (M.gauge r "depth") 0.5;
   M.observe (M.histogram ~help:"x\ny" ~buckets:[ 1.0 ] r "seconds") 0.5;
-  let j = parse_ok "metrics JSON" (Obs.Json.to_string (M.to_json r)) in
+  let j = parse_ok "metrics JSON" (Obs.Json.to_string (M.to_json [ r ])) in
   let entry name =
     match obj_field name j with
     | Some e -> e
@@ -727,8 +747,8 @@ let test_metrics_dump_golden () =
   in
   List.iter (M.observe h) [ 0.0005; 0.25; 0.3; 1.5; 9.0 ];
   Alcotest.(check string) "dump matches the captured golden" golden_metrics
-    (M.dump r);
-  match Obs.Json.parse (Obs.Json.to_string (M.to_json r)) with
+    (M.dump [ r ]);
+  match Obs.Json.parse (Obs.Json.to_string (M.to_json [ r ])) with
   | Ok v ->
       Alcotest.(check string) "render over the wire = dump" golden_metrics
         (M.render v)
@@ -963,6 +983,10 @@ let tests =
       test_counter_get_or_create;
     Alcotest.test_case "metrics: name/type clash rejected" `Quick
       test_type_clash_rejected;
+    Alcotest.test_case "metrics: invalid names rejected" `Quick
+      test_invalid_names_rejected;
+    Alcotest.test_case "metrics: a page merges its registries" `Quick
+      test_page_merges_registries;
     Alcotest.test_case "metrics: gauge set and add" `Quick test_gauge_ops;
     Alcotest.test_case "metrics: histogram buckets are cumulative" `Quick
       test_histogram_buckets;
@@ -970,7 +994,7 @@ let tests =
       `Quick test_aio_metrics_in_global_dump;
     Alcotest.test_case "metrics: increments merge across domains" `Quick
       test_metrics_merge_across_domains;
-    Alcotest.test_case "metrics: find and reset" `Quick test_find_and_reset;
+    Alcotest.test_case "metrics: find reads by name" `Quick test_find;
     Alcotest.test_case "metrics: dump is sorted with help lines" `Quick
       test_dump_sorted_with_help;
     Alcotest.test_case "metrics: to_json reparses" `Quick
