@@ -26,11 +26,16 @@ let subscript_is e idx off =
       && a.Affine.const = off
   | None -> false
 
+(* an operand that reads the accumulator makes it some other recurrence:
+   [u = max(u, i*u)] is no max search *)
+let free_of v es =
+  List.for_all (fun e -> not (Ast_utils.SSet.mem v (Ast_utils.expr_vars e))) es
+
 (** Recognize the body of loop [idx] (a single statement) as a pattern. *)
 let recognize_stmt idx (s : Ast.stmt) : pattern option =
   match s with
   | Ast.Assign (Ast.LVar acc, Ast.Bin (Ast.Add, Ast.Var acc', Ast.Bin (Ast.Mul, x, y)))
-    when acc = acc' ->
+    when acc = acc' && free_of acc [ x; y ] ->
       Some (Dotproduct { acc; a = x; b = y })
   | Ast.Assign (Ast.LIdx (x, [ sub ]), rhs) when subscript_is sub idx 0 -> (
       (* x(i) = f(x(i-1), ...) *)
@@ -49,8 +54,9 @@ let recognize_stmt idx (s : Ast.stmt) : pattern option =
           Some (Linear_recurrence { x; mul = Some m; add = None })
       | _ -> None)
   | Ast.Assign (Ast.LVar acc, Ast.Call (f, [ Ast.Var acc'; e ]))
-    when acc = acc' && (String.lowercase_ascii f = "max" || String.lowercase_ascii f = "min")
-    ->
+    when acc = acc'
+         && (String.lowercase_ascii f = "max" || String.lowercase_ascii f = "min")
+         && free_of acc [ e ] ->
       Some (Minmax_search { acc; arg = e; is_max = String.lowercase_ascii f = "max" })
   | _ -> None
 

@@ -19,7 +19,7 @@ open Fortran
 module SSet = Ast_utils.SSet
 module SMap = Ast_utils.SMap
 
-type red_op = Rsum | Rprod | Rmin | Rmax
+type red_op = Reduction.red_op = Rsum | Rprod | Rmin | Rmax
 [@@deriving show { with_path = false }, eq]
 
 type giv_kind =

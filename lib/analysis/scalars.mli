@@ -5,7 +5,7 @@
 module SSet = Fortran.Ast_utils.SSet
 module SMap = Fortran.Ast_utils.SMap
 
-type red_op = Rsum | Rprod | Rmin | Rmax
+type red_op = Fortran.Reduction.red_op = Rsum | Rprod | Rmin | Rmax
 
 type giv_kind =
   | Additive of Fortran.Ast.expr  (** v = v + k *)

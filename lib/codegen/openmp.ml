@@ -26,9 +26,10 @@
       plain Cedar [common] gets [!$omp threadprivate(/blk/)] when named.
       GLOBAL/CLUSTER visibility lines are dropped (shared memory).
 
-    [lift_source] is the inverse front end used by the validator: it
-    re-reads this module's own output back into the Cedar dialect so the
-    existing parser and static checks run unchanged on OpenMP output. *)
+    This module only prints.  {!Fortran.Parser} reads the output back,
+    each directive into the Cedar construct it was lowered from, so the
+    validator checks and the interpreter runs exactly the text emitted
+    here; printing the parsed text again gives the same bytes. *)
 
 open Fortran
 open Ast
@@ -194,7 +195,7 @@ and emit_parallel ctx buf indent h blk =
         (if is_dax then [ "ordered(1)" ] else [])
         @ List.map
             (fun r ->
-              Printf.sprintf "reduction(%s:%s)" (R.op_clause r.R.rr_op)
+              Printf.sprintf "reduction(%s:%s)" (Reduction.op_clause r.R.rr_op)
                 r.R.rr_shared)
             reds
         @ (if privates = [] then []
@@ -281,444 +282,3 @@ let unit_to_string u =
   let buf = Buffer.create 1024 in
   emit_unit buf u;
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Lift front end: OpenMP output -> Cedar dialect text                 *)
-(* ------------------------------------------------------------------ *)
-
-exception Lift_error of string
-
-let trim = String.trim
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let leading_ws s =
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n && (s.[!i] = ' ' || s.[!i] = '\t') do incr i done;
-  String.sub s 0 !i
-
-let is_directive s = starts_with ~prefix:"!$omp" (trim s)
-
-let directive_text s =
-  let t = trim s in
-  trim (String.sub t 5 (String.length t - 5))
-
-(* split "private(a, b) reduction(+:s)" into [(name, payload); ...] *)
-let parse_clauses text =
-  let n = String.length text in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    while !i < n && (text.[!i] = ' ' || text.[!i] = ',') do incr i done;
-    if !i < n then begin
-      let start = !i in
-      while !i < n && text.[!i] <> '(' && text.[!i] <> ' ' do incr i done;
-      let name = String.sub text start (!i - start) in
-      let payload =
-        if !i < n && text.[!i] = '(' then begin
-          let depth = ref 0 and pstart = !i + 1 in
-          let stop = ref (-1) in
-          while !i < n && !stop < 0 do
-            (if text.[!i] = '(' then incr depth
-             else if text.[!i] = ')' then begin
-               decr depth;
-               if !depth = 0 then stop := !i
-             end);
-            incr i
-          done;
-          if !stop < 0 then raise (Lift_error ("unbalanced clause: " ^ text));
-          String.sub text pstart (!stop - pstart)
-        end
-        else ""
-      in
-      if name <> "" then out := (String.lowercase_ascii name, payload) :: !out
-    end
-  done;
-  List.rev !out
-
-let split_commas s =
-  String.split_on_char ',' s |> List.map trim |> List.filter (fun x -> x <> "")
-
-(* word-boundary rename outside quoted strings *)
-let rename_word ~from ~into line =
-  let is_word c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-    || (c >= '0' && c <= '9')
-    || c = '_'
-  in
-  let n = String.length line and fl = String.length from in
-  let buf = Buffer.create (n + 8) in
-  let i = ref 0 and in_str = ref false in
-  while !i < n do
-    let c = line.[!i] in
-    if c = '\'' then begin
-      in_str := not !in_str;
-      Buffer.add_char buf c;
-      incr i
-    end
-    else if
-      (not !in_str)
-      && !i + fl <= n
-      && String.sub line !i fl = from
-      && ((!i = 0) || not (is_word line.[!i - 1]))
-      && (!i + fl = n || not (is_word line.[!i + fl]))
-    then begin
-      Buffer.add_string buf into;
-      i := !i + fl
-    end
-    else begin
-      Buffer.add_char buf c;
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-let decl_keywords =
-  [ "double precision "; "integer "; "real "; "logical "; "character " ]
-
-(* "real x(10)" -> Some ("x", "real x(10)") *)
-let parse_decl_line t =
-  let rec find = function
-    | [] -> None
-    | kw :: rest ->
-        if starts_with ~prefix:kw t then
-          let body = trim (String.sub t (String.length kw) (String.length t - String.length kw)) in
-          let stop = ref (String.length body) in
-          String.iteri (fun i c -> if c = '(' && !stop = String.length body then stop := i) body;
-          let name = trim (String.sub body 0 !stop) in
-          (* a single declared name only; multi-name decls are not in our
-             emission format *)
-          if name <> "" && not (String.contains name ',') then Some (name, t)
-          else None
-        else find rest
-  in
-  find decl_keywords
-
-let implicit_decl name =
-  let c = Char.lowercase_ascii name.[0] in
-  if c >= 'i' && c <= 'n' then "integer " ^ name else "real " ^ name
-
-let decl_type t =
-  if starts_with ~prefix:"integer" t then Integer
-  else if starts_with ~prefix:"double precision" t then Double
-  else if starts_with ~prefix:"logical" t then Logical
-  else if starts_with ~prefix:"character" t then Character
-  else Real
-
-let identity_text op ty =
-  match (op, ty) with
-  | Analysis.Scalars.Rsum, Integer -> "0"
-  | Analysis.Scalars.Rsum, _ -> "0.0"
-  | Analysis.Scalars.Rprod, Integer -> "1"
-  | Analysis.Scalars.Rprod, _ -> "1.0"
-  | Analysis.Scalars.Rmin, Integer -> "1073741823"
-  | Analysis.Scalars.Rmin, _ -> "1e30"
-  | Analysis.Scalars.Rmax, Integer -> "(-1073741823)"
-  | Analysis.Scalars.Rmax, _ -> "(-1e30)"
-
-let merge_text op s p =
-  match op with
-  | Analysis.Scalars.Rsum -> Printf.sprintf "%s = %s + %s" s s p
-  | Analysis.Scalars.Rprod -> Printf.sprintf "%s = %s * %s" s s p
-  | Analysis.Scalars.Rmin -> Printf.sprintf "%s = min(%s, %s)" s s p
-  | Analysis.Scalars.Rmax -> Printf.sprintf "%s = max(%s, %s)" s s p
-
-
-(* "critical (lk2)" / "end critical (lk2)" -> "2" *)
-let critical_id dt =
-  match String.index_opt dt '(' with
-  | None -> "1"
-  | Some i -> (
-      let rest = trim (String.sub dt (i + 1) (String.length dt - i - 1)) in
-      if starts_with ~prefix:"lk" rest then
-        match String.index_opt rest ')' with
-        | Some j -> String.sub rest 2 (j - 2)
-        | None -> "1"
-      else "1")
-
-(* trimmed line with any leading statement label stripped *)
-let code_text t =
-  let n = String.length t in
-  let i = ref 0 in
-  while !i < n && t.[!i] >= '0' && t.[!i] <= '9' do incr i done;
-  if !i > 0 && !i < n && t.[!i] = ' ' then trim (String.sub t !i (n - !i))
-  else if !i = 0 then t
-  else t
-
-type frame = {
-  f_ws : string;  (** leading whitespace of the loop header line *)
-  f_kind : string;  (** ["cdoall"] or ["cdoacross"] *)
-  f_locals : string list;  (** loop-local decl line texts (no ws) *)
-  f_pre : string list;  (** preamble statement texts (no ws) *)
-  f_post : string list;  (** postamble statement texts (no ws) *)
-  f_renames : (string * string) list;  (** shared -> partial, body only *)
-  mutable f_depth : int;  (** open DO nesting inside this loop *)
-  f_lines : Buffer.t;  (** accumulated body lines *)
-}
-
-(** Re-read this module's own OpenMP output back into Cedar dialect
-    source, so the Cedar parser and the static race checks run unchanged
-    on OpenMP output.  Directive-lowered loops come back as
-    [cdoall]/[cdoacross] (the placement flavor collapses); clause-lowered
-    privatization and reductions come back as loop-local declarations and
-    partial-accumulator machinery in the accepted shapes.  Returns
-    [Error _] on a directive the lift does not understand. *)
-let lift_source (src : string) : (string, string) result =
-  try
-    let raw = String.split_on_char '\n' src in
-    let raw = match List.rev raw with "" :: r -> List.rev r | _ -> raw in
-    let out = Buffer.create (String.length src) in
-    let stack : frame list ref = ref [] in
-    let pending : (string * string) list option ref = ref None in
-    let decls : (string, string) Hashtbl.t = Hashtbl.create 16 in
-    let threadpriv : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-    let fresh = ref 0 in
-    (* prescan: which named commons stay task-local *)
-    List.iter
-      (fun l ->
-        if is_directive l then
-          let dt = directive_text l in
-          if starts_with ~prefix:"threadprivate" dt then
-            match String.index_opt dt '/' with
-            | Some i -> (
-                match String.index_from_opt dt (i + 1) '/' with
-                | Some j ->
-                    Hashtbl.replace threadpriv (String.sub dt (i + 1) (j - i - 1)) ()
-                | None -> ())
-            | None -> ())
-      raw;
-    let cur_buf () = match !stack with [] -> out | f :: _ -> f.f_lines in
-    let emit line = Buffer.add_string (cur_buf ()) (line ^ "\n") in
-    (* pop the newest emitted line at the current level if [p] holds *)
-    let pop_last p =
-      let buf = cur_buf () in
-      let s = Buffer.contents buf in
-      let n = String.length s in
-      if n = 0 then None
-      else
-        let start =
-          match String.rindex_opt (String.sub s 0 (n - 1)) '\n' with
-          | Some i -> i + 1
-          | None -> 0
-        in
-        let last = String.sub s start (n - start - 1) in
-        if p last then begin
-          Buffer.clear buf;
-          Buffer.add_string buf (String.sub s 0 start);
-          Some last
-        end
-        else None
-    in
-    let close_frame f =
-      let b = Buffer.create 256 in
-      let add ws t = Buffer.add_string b (ws ^ t ^ "\n") in
-      let inner = f.f_ws ^ "  " in
-      List.iter (add inner) f.f_locals;
-      let has_blocks = f.f_pre <> [] || f.f_post <> [] in
-      if has_blocks then begin
-        List.iter (add inner) f.f_pre;
-        add f.f_ws "loop"
-      end;
-      Buffer.add_buffer b f.f_lines;
-      if has_blocks then begin
-        add f.f_ws "endloop";
-        List.iter (add inner) f.f_post
-      end;
-      add f.f_ws ("end " ^ f.f_kind);
-      Buffer.add_buffer (cur_buf ()) b
-    in
-    let open_frame line clauses =
-      let t = trim line in
-      let ct = code_text t in
-      if not (starts_with ~prefix:"DO " ct) then
-        raise (Lift_error ("directive not followed by DO: " ^ t));
-      let ws = leading_ws line in
-      let hdr_rest = String.sub ct 3 (String.length ct - 3) in
-      let ordered = List.mem_assoc "ordered" clauses in
-      let get name =
-        match List.assoc_opt name clauses with
-        | Some p -> split_commas p
-        | None -> []
-      in
-      let privates = get "private" in
-      let firstpriv = get "firstprivate" in
-      let reds =
-        List.filter_map
-          (fun (n, p) ->
-            if n <> "reduction" then None
-            else
-              match String.index_opt p ':' with
-              | Some i -> (
-                  let op = trim (String.sub p 0 i) in
-                  let v = trim (String.sub p (i + 1) (String.length p - i - 1)) in
-                  match R.op_of_clause op with
-                  | Some o -> Some (o, v)
-                  | None -> raise (Lift_error ("bad reduction op: " ^ op)))
-              | None -> raise (Lift_error ("bad reduction clause: " ^ p)))
-          clauses
-      in
-      (* firstprivate inits were hoisted just before the directive: pull
-         them back into the preamble (newest first) *)
-      let fp_inits =
-        List.map
-          (fun v ->
-            match
-              pop_last (fun l -> starts_with ~prefix:(v ^ " =") (trim l))
-            with
-            | Some l -> trim l
-            | None -> raise (Lift_error ("missing firstprivate init: " ^ v)))
-          (List.rev firstpriv)
-        |> List.rev
-      in
-      let local_decl v =
-        match Hashtbl.find_opt decls v with
-        | Some d -> d
-        | None -> implicit_decl v
-      in
-      let machinery =
-        List.map
-          (fun (op, v) ->
-            incr fresh;
-            let partial = Printf.sprintf "%s_q%d" v !fresh in
-            let ty = decl_type (local_decl v) in
-            let pdecl =
-              (match ty with
-              | Integer -> "integer "
-              | Double -> "double precision "
-              | Logical -> "logical "
-              | Character -> "character "
-              | Real -> "real ")
-              ^ partial
-            in
-            ( pdecl,
-              Printf.sprintf "%s = %s" partial (identity_text op ty),
-              merge_text op v partial,
-              (v, partial) ))
-          reds
-      in
-      let kind = if ordered then "cdoacross" else "cdoall" in
-      emit (ws ^ kind ^ " " ^ hdr_rest);
-      stack :=
-        {
-          f_ws = ws;
-          f_kind = kind;
-          f_locals =
-            List.map local_decl (privates @ firstpriv)
-            @ List.map (fun (d, _, _, _) -> d) machinery;
-          f_pre = fp_inits @ List.map (fun (_, i, _, _) -> i) machinery;
-          f_post =
-            (match machinery with
-            | [] -> []
-            | _ ->
-                ("call lock(1)" :: List.map (fun (_, _, m, _) -> m) machinery)
-                @ [ "call unlock(1)" ]);
-          f_renames = List.map (fun (_, _, _, r) -> r) machinery;
-          f_depth = 1;
-          f_lines = Buffer.create 256;
-        }
-        :: !stack
-    in
-    let process line =
-      let t = trim line in
-      if t = "" then emit line
-      else if is_directive line then begin
-        let dt = directive_text line in
-        let ws = leading_ws line in
-        if starts_with ~prefix:"parallel do" dt then
-          pending :=
-            Some (parse_clauses (String.sub dt 11 (String.length dt - 11)))
-        else if starts_with ~prefix:"end parallel do" dt then ()
-        else if starts_with ~prefix:"ordered depend(source" dt then
-          emit (ws ^ "call advance(1)")
-        else if starts_with ~prefix:"ordered depend(sink" dt then begin
-          let payload =
-            match String.index_opt dt ':' with
-            | Some i -> (
-                let rest = String.sub dt (i + 1) (String.length dt - i - 1) in
-                match String.rindex_opt rest ')' with
-                | Some j -> String.sub rest 0 j
-                | None -> rest)
-            | None -> raise (Lift_error ("bad sink clause: " ^ dt))
-          in
-          let d =
-            match String.index_opt payload '-' with
-            | Some i ->
-                trim (String.sub payload (i + 1) (String.length payload - i - 1))
-            | None -> "0"
-          in
-          emit (ws ^ Printf.sprintf "call await(1, %s)" d)
-        end
-        else if starts_with ~prefix:"end critical" dt then
-          emit (ws ^ Printf.sprintf "call unlock(%s)" (critical_id dt))
-        else if starts_with ~prefix:"critical" dt then
-          emit (ws ^ Printf.sprintf "call lock(%s)" (critical_id dt))
-        else if starts_with ~prefix:"threadprivate" dt then ()
-        else raise (Lift_error ("unknown directive: " ^ dt))
-      end
-      else
-        match !pending with
-        | Some clauses ->
-            pending := None;
-            open_frame line clauses
-        | None ->
-            let ct = code_text t in
-            let lower_ct = String.lowercase_ascii ct in
-            (if !stack = [] then
-               match parse_decl_line ct with
-               | Some (name, text) -> Hashtbl.replace decls name text
-               | None -> ());
-            (* a named common with no threadprivate mark is process-shared *)
-            let line =
-              if !stack = [] && starts_with ~prefix:"common" lower_ct then begin
-                let blkname =
-                  match String.index_opt ct '/' with
-                  | Some i -> (
-                      match String.index_from_opt ct (i + 1) '/' with
-                      | Some j -> String.sub ct (i + 1) (j - i - 1)
-                      | None -> "")
-                  | None -> ""
-                in
-                if blkname <> "" && Hashtbl.mem threadpriv blkname then line
-                else leading_ws line ^ "process " ^ t
-              end
-              else line
-            in
-            (* body renames of every open frame (shared -> partial) *)
-            let line =
-              List.fold_left
-                (fun l f ->
-                  List.fold_left
-                    (fun l (shared, partial) ->
-                      rename_word ~from:shared ~into:partial l)
-                    l f.f_renames)
-                line !stack
-            in
-            if lower_ct = "enddo" && !stack <> [] then begin
-              let f = List.hd !stack in
-              f.f_depth <- f.f_depth - 1;
-              if f.f_depth = 0 then begin
-                stack := List.tl !stack;
-                close_frame f
-              end
-              else emit line
-            end
-            else begin
-              (match !stack with
-              | f :: _ when starts_with ~prefix:"do " lower_ct ->
-                  f.f_depth <- f.f_depth + 1
-              | _ -> ());
-              if ct = "end" && !stack = [] then Hashtbl.reset decls;
-              emit line
-            end
-    in
-    List.iter process raw;
-    (match !stack with
-    | [] -> ()
-    | _ -> raise (Lift_error "input ended inside a parallel loop"));
-    if !pending <> None then
-      raise (Lift_error "parallel do directive not followed by a loop");
-    Ok (Buffer.contents out)
-  with Lift_error m -> Error m

@@ -172,6 +172,15 @@ and rewrite_stmt f s =
       | first :: rest -> Labeled (l, first) :: rest)
   | _ -> f s'
 
+(** Rename scalar [p] to [s] in every read and every assignment target. *)
+let rename_scalar p s stmts =
+  let rl = function LVar v when v = p -> LVar s | l -> l in
+  List.map (map_stmt_exprs (function Var v when v = p -> Var s | e -> e)) stmts
+  |> rewrite_stmts (function
+       | Assign (l, e) -> [ Assign (rl l, e) ]
+       | Read ls -> [ Read (List.map rl ls) ]
+       | st -> [ st ])
+
 (** Strip Labeled wrappers (labels only matter for GOTO, which the
     restructurer treats as a parallelization blocker anyway). *)
 let rec strip_labels_stmt s =

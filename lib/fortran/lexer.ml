@@ -8,7 +8,10 @@
       non-label character in column 6 of a line whose columns 1-5 are blank
       (classic fixed form);
     - keywords must be blank-separated from what follows ([DO 10 I] yes,
-      [DO10I] no), which every source in this repository satisfies. *)
+      [DO10I] no), which every source in this repository satisfies;
+    - a line whose first non-blank text is [!$omp] (any case, column 1 or
+      indented) is not a comment but an OpenMP directive: a logical line
+      of its own whose tokens start with {!Token.Omp}. *)
 
 exception Error of string * int  (** message, line number *)
 
@@ -36,6 +39,21 @@ let is_comment_line s =
   || (match s.[0] with 'c' | 'C' | '*' | '!' -> true | _ -> false)
   || String.trim s = ""
 
+let sentinel = "!$omp"
+
+(* The text after the sentinel of a directive line, trailing comment
+   stripped. *)
+let directive raw =
+  let n = String.length raw and k = String.length sentinel in
+  let i = ref 0 in
+  while !i < n && (raw.[!i] = ' ' || raw.[!i] = '\t') do
+    incr i
+  done;
+  if !i + k <= n && raw.[!i] = '!'
+     && String.lowercase_ascii (String.sub raw !i k) = sentinel
+  then Some (strip_bang_comment (String.sub raw (!i + k) (n - !i - k)))
+  else None
+
 (* Fixed-form continuation: columns 1-5 blank, column 6 non-blank non-'0'. *)
 let is_fixed_continuation s =
   String.length s >= 6
@@ -51,7 +69,12 @@ let logical_lines src =
   let physical = String.split_on_char '\n' src in
   let rec build acc cur = function
     | [] -> List.rev (match cur with None -> acc | Some c -> c :: acc)
-    | (lineno, raw) :: rest ->
+    | (lineno, raw) :: rest -> (
+        match directive raw with
+        | Some d ->
+            let acc = match cur with None -> acc | Some c -> c :: acc in
+            build ((0, lineno, sentinel ^ d) :: acc) None rest
+        | None ->
         if is_comment_line raw then build acc cur rest
         else
           let line = strip_bang_comment raw in
@@ -91,7 +114,7 @@ let logical_lines src =
               (* trailing '&' continuation marker *)
               let body = String.trim body in
               let acc = match cur with None -> acc | Some c -> c :: acc in
-              build acc (Some (lbl, lineno, body)) rest
+              build acc (Some (lbl, lineno, body)) rest)
   in
   let numbered = List.mapi (fun i l -> (i + 1, l)) physical in
   (* splice trailing '&' *)
@@ -264,8 +287,17 @@ let tokenize_line lineno s =
   done;
   List.rev !toks
 
-(** Lex a whole source text into labeled token lines. *)
+(** Lex a whole source text into labeled token lines.  Statement text
+    never starts with ['!'] (a bang begins a comment), so the sentinel
+    marks exactly the directive lines. *)
 let lex src : Token.line list =
+  let n = String.length sentinel in
   logical_lines src
   |> List.map (fun (label, lineno, text) ->
-         { Token.label; lineno; tokens = tokenize_line lineno text })
+         let tokens =
+           if String.starts_with ~prefix:sentinel text then
+             Token.Omp
+             :: tokenize_line lineno (String.sub text n (String.length text - n))
+           else tokenize_line lineno text
+         in
+         { Token.label; lineno; tokens })

@@ -5,7 +5,28 @@
     reserved words).  Array references are distinguished from function
     calls using the declarations seen so far in the current program unit
     (undeclared names applied to arguments parse as calls, which also
-    covers the intrinsics). *)
+    covers the intrinsics).
+
+    The same front end reads the OpenMP dialect the OpenMP backend emits.
+    Each directive becomes the Cedar construct it was lowered from:
+    - [parallel do] is a [Cdoall] loop, [Cdoacross] with [ordered(1)];
+    - [private]/[firstprivate] names are loop-locals, typed from the
+      unit's declarations or implicitly; the [p = e] init of each
+      firstprivate name, hoisted in front of the directive, moves back
+      into the preamble.  An undeclared private that is a sequential DO
+      index in the body stays out: a DO index is private to each worker
+      already;
+    - [reduction(op:v)] is the partial-accumulator machinery: a partial
+      local [v_qN] (N counts per parse), its identity init in the
+      preamble, the body accumulating into it, and a
+      [lock(1)]/merge/[unlock(1)] postamble;
+    - [critical (lkK)] / [end critical (lkK)] are [call lock(K)] /
+      [call unlock(K)]; [ordered depend(sink: i - d)] is
+      [call await(1, d)] and [ordered depend(source)] is
+      [call advance(1)];
+    - [threadprivate(/b/)] keeps common [b] task-local; in a text with any
+      directive every other common is a [process common].
+    Any other directive is an {!Error}. *)
 
 open Ast
 
@@ -21,6 +42,9 @@ type state = {
   (* set when a labeled-DO terminator line was consumed by an inner loop
      but outer loops sharing the label still need to close *)
   mutable closed_label : int option;
+  omp : bool;  (** the text carries an [!$omp] line *)
+  mutable decls : decl list;  (** the current unit's declarations *)
+  mutable partials : int;  (** reduction partials named so far *)
 }
 
 let eof st = st.pos >= Array.length st.lines
@@ -28,6 +52,7 @@ let peek st = st.lines.(st.pos)
 let advance st = st.pos <- st.pos + 1
 
 let cur_lineno st = if eof st then -1 else (peek st).Token.lineno
+let peek_tokens st = if eof st then [] else (peek st).Token.tokens
 
 (* ------------------------------------------------------------------ *)
 (* Expression parsing over a single line's token list                  *)
@@ -283,6 +308,33 @@ let loop_class_of_keyword = function
 
 let rest_cursor (line : Token.line) toks = { toks; lineno = line.Token.lineno }
 
+(* i = lo, hi [, step] *)
+let parse_do_header st c cls =
+  let index = expect_ident c in
+  expect c Token.Assign "=";
+  let lo = parse_expr st c in
+  expect c Token.Comma ",";
+  let hi = parse_expr st c in
+  let step =
+    if cpeek c = Some Token.Comma then begin
+      ignore (cnext c);
+      Some (parse_expr st c)
+    end
+    else None
+  in
+  { index; lo; hi; step; cls; locals = [] }
+
+(* '(' already consumed: name {, name} ')' *)
+let parse_name_list c =
+  let rec go acc =
+    let n = expect_ident c in
+    match cnext c with
+    | Token.Comma -> go (n :: acc)
+    | Token.RParen -> List.rev (n :: acc)
+    | t -> error c.lineno "expected , or ) got %s" (Token.to_string t)
+  in
+  go []
+
 (* does this line begin an END of the given loop class? accepts both
    "end xdoall" and "endxdoall" *)
 let is_end_of_class cls (line : Token.line) =
@@ -321,7 +373,11 @@ let rec parse_stmts st (stop : Token.line -> bool) : stmt list =
     if !fin then ()
     else if eof st then fin := true
     else if stop (peek st) then fin := true
-    else acc := parse_stmt st :: !acc
+    else
+      match (peek st).Token.tokens with
+      | Token.Omp :: Token.Ident "parallel" :: Token.Ident "do" :: clauses ->
+          acc := parse_omp_do st !acc clauses
+      | _ -> acc := parse_stmt st :: !acc
   done;
   List.rev !acc
 
@@ -377,6 +433,9 @@ and parse_stmt_nolabel st : stmt =
       advance st;
       let c = rest_cursor line rest in
       parse_call st c
+  | Token.Omp :: rest ->
+      advance st;
+      parse_directive st line rest
   | [ Token.Ident "return" ] ->
       advance st;
       Return
@@ -515,29 +574,9 @@ and parse_lhs st c : lhs =
    concurrent classes with END <CLS>; may carry local decls / LOOP /
    ENDLOOP structure (Cedar) *)
 and parse_block_do st line cls rest =
-  let c = rest_cursor line rest in
-  let index = expect_ident c in
-  expect c Token.Assign "=";
-  let lo = parse_expr st c in
-  expect c Token.Comma ",";
-  let hi = parse_expr st c in
-  let step =
-    if cpeek c = Some Token.Comma then begin
-      ignore (cnext c);
-      Some (parse_expr st c)
-    end
-    else None
-  in
-  if cls = Seq then begin
-    let body =
-      parse_stmts st (fun l ->
-          is_exact l [ "enddo" ] || is_exact l [ "end"; "do" ])
-    in
-    if eof st then error line.Token.lineno "missing ENDDO";
-    advance st;
-    Do ({ index; lo; hi; step; cls; locals = [] }, seq_block body)
-  end
-  else begin
+  let h = parse_do_header st (rest_cursor line rest) cls in
+  if cls = Seq then Do (h, seq_block (parse_enddo_body st line))
+  else
     (* local declarations *)
     let locals = ref [] in
     let rec scan_locals () =
@@ -580,24 +619,11 @@ and parse_block_do st line cls rest =
         { preamble = []; body = first; postamble = [] }
       end
     in
-    Do ({ index; lo; hi; step; cls; locals = !locals }, blk)
-  end
+    Do ({ h with locals = !locals }, blk)
 
 (* DO <label> i = ... : terminated by the line carrying <label> *)
 and parse_labeled_do st line lbl rest =
-  let c = rest_cursor line rest in
-  let index = expect_ident c in
-  expect c Token.Assign "=";
-  let lo = parse_expr st c in
-  expect c Token.Comma ",";
-  let hi = parse_expr st c in
-  let step =
-    if cpeek c = Some Token.Comma then begin
-      ignore (cnext c);
-      Some (parse_expr st c)
-    end
-    else None
-  in
+  let h = parse_do_header st (rest_cursor line rest) Seq in
   let body = parse_stmts st (fun l -> l.Token.label = lbl) in
   let body =
     match st.closed_label with
@@ -610,7 +636,162 @@ and parse_labeled_do st line lbl rest =
         st.closed_label <- Some lbl;
         body @ [ term ]
   in
-  Do ({ index; lo; hi; step; cls = Seq; locals = [] }, seq_block body)
+  Do (h, seq_block body)
+
+(* the body of a block DO whose header was consumed, through its ENDDO *)
+and parse_enddo_body st line =
+  let body =
+    parse_stmts st (fun l -> is_exact l [ "enddo" ] || is_exact l [ "end"; "do" ])
+  in
+  if eof st then error line.Token.lineno "missing ENDDO";
+  advance st;
+  body
+
+(* [!$omp parallel do <clauses>], the DO it opens and an optional
+   [!$omp end parallel do]; [acc] is the enclosing statement list so far,
+   newest first, from which the firstprivate inits are taken back *)
+and parse_omp_do st acc clauses =
+  let line = peek st in
+  let ln = line.Token.lineno in
+  advance st;
+  let c = rest_cursor line clauses in
+  let ordered = ref false and privates = ref [] and firsts = ref [] in
+  let reds = ref [] in
+  while cpeek c <> None do
+    match cnext c with
+    | Token.Ident "ordered" ->
+        ordered := true;
+        expect c Token.LParen "(";
+        expect c (Token.IntLit 1) "1";
+        expect c Token.RParen ")"
+    | Token.Ident "private" ->
+        expect c Token.LParen "(";
+        privates := !privates @ parse_name_list c
+    | Token.Ident "firstprivate" ->
+        expect c Token.LParen "(";
+        firsts := !firsts @ parse_name_list c
+    | Token.Ident "reduction" ->
+        expect c Token.LParen "(";
+        let spelling =
+          match cnext c with
+          | Token.Plus -> "+"
+          | Token.Star -> "*"
+          | t -> Token.to_string t
+        in
+        let op =
+          match Reduction.op_of_clause spelling with
+          | Some op -> op
+          | None -> error ln "unsupported reduction operator %s" spelling
+        in
+        expect c Token.Colon ":";
+        reds := !reds @ List.map (fun v -> (op, v)) (parse_name_list c)
+    | t -> error ln "unsupported parallel do clause %s" (Token.to_string t)
+  done;
+  let h, body =
+    match peek_tokens st with
+    | Token.Ident "do" :: (Token.Ident _ :: _ as rest)
+      when (peek st).Token.label = 0 ->
+        let do_line = peek st in
+        advance st;
+        let cls = if !ordered then Cdoacross else Cdoall in
+        let h = parse_do_header st (rest_cursor do_line rest) cls in
+        (h, parse_enddo_body st do_line)
+    | _ -> error ln "!$omp parallel do is not followed by a block DO"
+  in
+  if peek_tokens st = Token.[ Omp; Ident "end"; Ident "parallel"; Ident "do" ]
+  then advance st;
+  let declared v = List.find_opt (fun d -> d.d_name = v) st.decls in
+  let local v =
+    match declared v with
+    | Some d -> { d with d_vis = Default }
+    | None ->
+        let d_type = Symbols.implicit_type v in
+        { d_name = v; d_type; d_dims = []; d_vis = Default }
+  in
+  let seq_index v =
+    Ast_utils.exists_stmt
+      (function Do (h, _) -> h.cls = Seq && h.index = v | _ -> false)
+      body
+  in
+  let privates =
+    List.filter (fun v -> declared v <> None || not (seq_index v)) !privates
+  in
+  (* the firstprivate inits were hoisted just in front of the directive *)
+  let acc, inits =
+    List.fold_left
+      (fun (acc, inits) v ->
+        match acc with
+        | (Assign (LVar v', _) as init) :: acc when v' = v ->
+            (acc, init :: inits)
+        | _ -> error ln "firstprivate(%s): no init just before the directive" v)
+      (acc, []) (List.rev !firsts)
+  in
+  let partials =
+    List.map
+      (fun (op, v) ->
+        let d = local v in
+        if d.d_dims <> [] then error ln "reduction(%s) on an array" v;
+        st.partials <- st.partials + 1;
+        (op, v, { d with d_name = Printf.sprintf "%s_q%d" v st.partials }))
+      !reds
+  in
+  let merges =
+    List.map
+      (fun (op, v, p) ->
+        Assign (LVar v, Reduction.combine_expr op (Var v) (Var p.d_name)))
+      partials
+  in
+  let blk =
+    {
+      preamble =
+        inits
+        @ List.map
+            (fun (op, _, p) ->
+              Assign (LVar p.d_name, Reduction.identity_of op ~ty:p.d_type))
+            partials;
+      body =
+        List.fold_left
+          (fun b (_, v, p) -> Ast_utils.rename_scalar v p.d_name b)
+          body partials;
+      postamble =
+        (if merges = [] then []
+         else
+           (CallSt ("lock", [ Int 1 ]) :: merges)
+           @ [ CallSt ("unlock", [ Int 1 ]) ]);
+    }
+  in
+  let locals =
+    List.map local (privates @ !firsts) @ List.map (fun (_, _, p) -> p) partials
+  in
+  Do ({ h with locals }, blk) :: acc
+
+(* a directive line that stands for one statement *)
+and parse_directive st line toks =
+  let ln = line.Token.lineno in
+  let lock_id = function
+    | [ Token.LParen; Token.Ident name; Token.RParen ] -> (
+        match Scanf.sscanf_opt name "lk%d%!" Fun.id with
+        | Some k -> Int k
+        | None -> Int 1)
+    | _ -> Int 1
+  in
+  match toks with
+  | Token.Ident "critical" :: name -> CallSt ("lock", [ lock_id name ])
+  | Token.Ident "end" :: Token.Ident "critical" :: name ->
+      CallSt ("unlock", [ lock_id name ])
+  | [ Token.Ident "ordered"; Token.Ident "depend"; Token.LParen;
+      Token.Ident "source"; Token.RParen ] ->
+      CallSt ("advance", [ Int 1 ])
+  | Token.Ident "ordered" :: Token.Ident "depend" :: Token.LParen
+    :: Token.Ident "sink" :: Token.Colon :: Token.Ident _ :: Token.Minus :: rest
+    ->
+      let c = rest_cursor line rest in
+      let d = parse_expr st c in
+      expect c Token.RParen ")";
+      CallSt ("await", [ Int 1; d ])
+  | _ ->
+      error ln "unsupported !$omp directive:%s"
+        (String.concat "" (List.map (fun t -> " " ^ Token.to_string t) toks))
 
 and parse_block_if st cond =
   let stop l =
@@ -717,6 +898,7 @@ let parse_unit st : punit =
   let commons = ref [] in
   let equivs = ref [] in
   let params = ref [] in
+  let threadprivate = ref [] in
   (* declaration section *)
   let parse_common_vars c process =
     let cname =
@@ -880,9 +1062,25 @@ let parse_unit st : punit =
       | Token.Ident "implicit" :: _ ->
           advance st;
           decl_loop ()
+      | Token.Omp :: Token.Ident "threadprivate" :: rest ->
+          advance st;
+          let c = rest_cursor l rest in
+          expect c Token.LParen "(";
+          let rec blocks () =
+            expect c Token.Slash "/";
+            threadprivate := expect_ident c :: !threadprivate;
+            expect c Token.Slash "/";
+            match cnext c with
+            | Token.Comma -> blocks ()
+            | Token.RParen -> ()
+            | t -> error l.Token.lineno "bad threadprivate: %s" (Token.to_string t)
+          in
+          blocks ();
+          decl_loop ()
       | _ -> ()
   in
   decl_loop ();
+  st.decls <- !decls;
   let body = parse_stmts st (fun l -> is_exact l [ "end" ]) in
   if eof st then error ln "missing END for unit %s" name;
   advance st;
@@ -890,7 +1088,13 @@ let parse_unit st : punit =
     u_name = name;
     u_kind = kind;
     u_decls = !decls;
-    u_commons = List.rev !commons;
+    u_commons =
+      List.rev_map
+        (fun cb ->
+          if st.omp && not (List.mem cb.c_name !threadprivate) then
+            { cb with c_process = true }
+          else cb)
+        !commons;
     u_equivs = !equivs;
     u_params = List.rev !params;
     u_body = body;
@@ -899,7 +1103,22 @@ let parse_unit st : punit =
 (** Parse a complete source file into program units. *)
 let parse_program src : program =
   let lines = Array.of_list (Lexer.lex src) in
-  let st = { lines; pos = 0; arrays = Hashtbl.create 16; closed_label = None } in
+  let omp =
+    Array.exists
+      (fun l -> match l.Token.tokens with Token.Omp :: _ -> true | _ -> false)
+      lines
+  in
+  let st =
+    {
+      lines;
+      pos = 0;
+      arrays = Hashtbl.create 16;
+      closed_label = None;
+      omp;
+      decls = [];
+      partials = 0;
+    }
+  in
   let units = ref [] in
   while not (eof st) do
     units := parse_unit st :: !units
@@ -911,7 +1130,15 @@ let parse_program src : program =
 let parse_expr_string src : expr =
   let toks = Lexer.tokenize_line 1 src in
   let st =
-    { lines = [||]; pos = 0; arrays = Hashtbl.create 1; closed_label = None }
+    {
+      lines = [||];
+      pos = 0;
+      arrays = Hashtbl.create 1;
+      closed_label = None;
+      omp = false;
+      decls = [];
+      partials = 0;
+    }
   in
   let c = { toks; lineno = 1 } in
   let e = parse_expr st c in

@@ -1,4 +1,8 @@
-(** Recursive-descent parser for fortran77 / Cedar Fortran.
+(** Recursive-descent parser for fortran77 / Cedar Fortran, and the one
+    front end for the OpenMP dialect too: each [!$omp] directive the
+    OpenMP backend emits reads as the Cedar construct it lowers (see the
+    implementation header for the mapping); any other directive is an
+    {!Error}.
 
     Statements are recognized positionally (Fortran has no reserved
     words); array references are distinguished from function calls using

@@ -30,6 +30,7 @@ type t =
   | OpAnd
   | OpOr
   | OpNot
+  | Omp  (** the [!$omp] sentinel that opens a directive line *)
 [@@deriving show { with_path = false }, eq]
 
 (** One logical statement line: its numeric label (0 if none), the source
@@ -62,3 +63,4 @@ let to_string = function
   | OpAnd -> ".and."
   | OpOr -> ".or."
   | OpNot -> ".not."
+  | Omp -> "!$omp"

@@ -891,6 +891,9 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
         match a.a_doacross with
         | Some plan
           when (avail.cluster || avail.spread)
+               (* the cascade brackets the body as it stands: an induction
+                  variable left unsubstituted would race across it *)
+               && a.a_givs = []
                && List.for_all
                     (fun b ->
                       (* only array-distance blockers are synchronizable *)

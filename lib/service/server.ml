@@ -472,7 +472,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
               result.Restructurer.Driver.program
           in
           (* under --validate, re-verify the emitted text (print ->
-             (lift ->) reparse -> independent dependence re-analysis);
+             reparse -> independent dependence re-analysis);
              unverified output is neither cached nor returned *)
           let rejected =
             if not opts.Restructurer.Options.validate then None

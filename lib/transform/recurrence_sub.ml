@@ -42,7 +42,7 @@ let vector_reduce (h : Ast.do_header) (body : Ast.stmt list) :
     | Some (Recurrence.Dotproduct { acc; a; b }) -> (
         match (vec a, vec b) with
         | Some va, Some vb
-          when va <> a || vb <> b (* at least one true vector operand *) ->
+          when va <> a && vb <> b (* dotproduct takes two vectors *) ->
             Some
               [
                 Ast.Assign

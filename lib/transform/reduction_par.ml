@@ -10,21 +10,6 @@
 open Fortran
 open Analysis
 
-let identity_of (op : Scalars.red_op) ~(ty : Ast.dtype) : Ast.expr =
-  let num f i = if ty = Ast.Integer then Ast.Int i else Ast.Num f in
-  match op with
-  | Scalars.Rsum -> num 0.0 0
-  | Scalars.Rprod -> num 1.0 1
-  | Scalars.Rmin -> num 1e30 1073741823
-  | Scalars.Rmax -> num (-1e30) (-1073741823)
-
-let combine_expr (op : Scalars.red_op) a b : Ast.expr =
-  match op with
-  | Scalars.Rsum -> Ast.Bin (Ast.Add, a, b)
-  | Scalars.Rprod -> Ast.Bin (Ast.Mul, a, b)
-  | Scalars.Rmin -> Ast.Call ("min", [ a; b ])
-  | Scalars.Rmax -> Ast.Call ("max", [ a; b ])
-
 type scalar_red = { sr_var : string; sr_op : Scalars.red_op; sr_type : Ast.dtype }
 
 type array_red = {
@@ -90,7 +75,9 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
   let pre_scalars =
     List.map
       (fun r ->
-        Ast.Assign (Ast.LVar (rename r.sr_var), identity_of r.sr_op ~ty:r.sr_type))
+        Ast.Assign
+          ( Ast.LVar (rename r.sr_var),
+            Reduction.identity_of r.sr_op ~ty:r.sr_type ))
       scalars
   in
   let pre_arrays =
@@ -103,7 +90,7 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
               Ast.Assign
                 ( Ast.LSection
                     (rename r.arr_name, [ Ast.Range (Some lo, Some hi, None) ]),
-                  identity_of r.arr_op ~ty:r.arr_type );
+                  Reduction.identity_of r.arr_op ~ty:r.arr_type );
             ]
         | _ ->
             (* multi-dimensional: initialize with a section assignment *)
@@ -113,7 +100,7 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
                     ( rename r.arr_name,
                       List.map (fun (lo, hi) -> Ast.Range (Some lo, Some hi, None)) r.arr_dims
                     ),
-                  identity_of r.arr_op ~ty:r.arr_type );
+                  Reduction.identity_of r.arr_op ~ty:r.arr_type );
             ])
       arrays
   in
@@ -123,7 +110,8 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
       (fun r ->
         Ast.Assign
           ( Ast.LVar r.sr_var,
-            combine_expr r.sr_op (Ast.Var r.sr_var) (Ast.Var (rename r.sr_var)) ))
+            Reduction.combine_expr r.sr_op (Ast.Var r.sr_var)
+              (Ast.Var (rename r.sr_var)) ))
       scalars
   in
   let post_arrays =
@@ -137,7 +125,7 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
             [
               Ast.Assign
                 ( Ast.LSection (r.arr_name, range),
-                  combine_expr r.arr_op
+                  Reduction.combine_expr r.arr_op
                     (Ast.Section (r.arr_name, range))
                     (Ast.Section (rename r.arr_name, range)) );
             ]
@@ -150,7 +138,7 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
                     [
                       Ast.Assign
                         ( Ast.LIdx (r.arr_name, [ Ast.Var idx ]),
-                          combine_expr r.arr_op
+                          Reduction.combine_expr r.arr_op
                             (Ast.Idx (r.arr_name, [ Ast.Var idx ]))
                             (Ast.Idx (rename r.arr_name, [ Ast.Var idx ])) );
                     ] );
@@ -162,7 +150,7 @@ let apply ~(scalars : scalar_red list) ~(arrays : array_red list)
                     ( r.arr_name,
                       List.map (fun (lo, hi) -> Ast.Range (Some lo, Some hi, None)) r.arr_dims
                     ),
-                  combine_expr r.arr_op
+                  Reduction.combine_expr r.arr_op
                     (Ast.Section
                        ( r.arr_name,
                          List.map
@@ -227,21 +215,7 @@ type recognized_red = {
   rr_type : Ast.dtype;
 }
 
-(** The operator's spelling in an OpenMP [reduction(op:var)] clause. *)
-let op_clause = function
-  | Scalars.Rsum -> "+"
-  | Scalars.Rprod -> "*"
-  | Scalars.Rmin -> "min"
-  | Scalars.Rmax -> "max"
-
-let op_of_clause = function
-  | "+" -> Some Scalars.Rsum
-  | "*" -> Some Scalars.Rprod
-  | "min" -> Some Scalars.Rmin
-  | "max" -> Some Scalars.Rmax
-  | _ -> None
-
-(* [s = s op p] in the shape [combine_expr] builds *)
+(* [s = s op p] in the shape [Reduction.combine_expr] builds *)
 let merge_shape = function
   | Ast.Assign (Ast.LVar s, Ast.Bin (Ast.Add, Ast.Var s', Ast.Var p))
     when s = s' ->
@@ -256,48 +230,6 @@ let merge_shape = function
     when s = s' ->
       Some (s, p, Scalars.Rmax)
   | _ -> None
-
-(* rename every use of [p] (scalar reads and assignment targets) to [s] *)
-let rename_scalar_uses p s stmts =
-  let re =
-    Ast_utils.map_expr (function
-      | Ast.Var v when v = p -> Ast.Var s
-      | e -> e)
-  in
-  let rl = function
-    | Ast.LVar v when v = p -> Ast.LVar s
-    | Ast.LVar v -> Ast.LVar v
-    | Ast.LIdx (a, subs) -> Ast.LIdx (a, List.map re subs)
-    | Ast.LSection (a, dims) ->
-        Ast.LSection
-          ( a,
-            List.map
-              (function
-                | Ast.Elem e -> Ast.Elem (re e)
-                | Ast.Range (x, y, z) ->
-                    Ast.Range (Option.map re x, Option.map re y, Option.map re z))
-              dims )
-  in
-  let rec go = function
-    | Ast.Assign (l, e) -> Ast.Assign (rl l, re e)
-    | Ast.If (c, t, f) -> Ast.If (re c, List.map go t, List.map go f)
-    | Ast.Do (hd, b) ->
-        Ast.Do
-          ( { hd with Ast.lo = re hd.Ast.lo; hi = re hd.Ast.hi;
-              step = Option.map re hd.Ast.step },
-            {
-              Ast.preamble = List.map go b.Ast.preamble;
-              body = List.map go b.Ast.body;
-              postamble = List.map go b.Ast.postamble;
-            } )
-    | Ast.Where (m, b) -> Ast.Where (re m, List.map go b)
-    | Ast.CallSt (n, args) -> Ast.CallSt (n, List.map re args)
-    | Ast.Print args -> Ast.Print (List.map re args)
-    | Ast.Read ls -> Ast.Read (List.map rl ls)
-    | Ast.Labeled (l, st) -> Ast.Labeled (l, go st)
-    | (Ast.Return | Ast.Stop | Ast.Continue | Ast.Goto _) as st -> st
-  in
-  List.map go stmts
 
 let is_lock = function
   | Ast.CallSt ("lock", _) -> true
@@ -347,7 +279,9 @@ let recognize (h : Ast.do_header) (blk : Ast.block) :
           in
           match merge with
           | [ (mi, s, op) ] ->
-              let init = Ast.Assign (Ast.LVar p, identity_of op ~ty:d.Ast.d_type) in
+              let init =
+                Ast.Assign (Ast.LVar p, Reduction.identity_of op ~ty:d.Ast.d_type)
+              in
               let init_ok = List.mem init blk.Ast.preamble in
               let touches st =
                 let module U = Ast_utils in
@@ -390,7 +324,7 @@ let recognize (h : Ast.do_header) (blk : Ast.block) :
                    st
                    = Ast.Assign
                        ( Ast.LVar r.rr_partial,
-                         identity_of r.rr_op ~ty:r.rr_type ))
+                         Reduction.identity_of r.rr_op ~ty:r.rr_type ))
                  reds))
           blk.Ast.preamble
       in
@@ -410,7 +344,7 @@ let recognize (h : Ast.do_header) (blk : Ast.block) :
       in
       let body =
         List.fold_left
-          (fun b r -> rename_scalar_uses r.rr_partial r.rr_shared b)
+          (fun b r -> Ast_utils.rename_scalar r.rr_partial r.rr_shared b)
           blk.Ast.body reds
       in
       Some

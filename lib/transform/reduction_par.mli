@@ -4,15 +4,6 @@
     section.  Rank-1 array partials initialize and merge as vector
     statements. *)
 
-val identity_of :
-  Analysis.Scalars.red_op -> ty:Fortran.Ast.dtype -> Fortran.Ast.expr
-
-val combine_expr :
-  Analysis.Scalars.red_op ->
-  Fortran.Ast.expr ->
-  Fortran.Ast.expr ->
-  Fortran.Ast.expr
-
 type scalar_red = {
   sr_var : string;
   sr_op : Analysis.Scalars.red_op;
@@ -41,13 +32,6 @@ type recognized_red = {
   rr_op : Analysis.Scalars.red_op;
   rr_type : Fortran.Ast.dtype;
 }
-
-val op_clause : Analysis.Scalars.red_op -> string
-(** The operator's spelling in an OpenMP [reduction(op:var)] clause:
-    ["+"], ["*"], ["min"] or ["max"]. *)
-
-val op_of_clause : string -> Analysis.Scalars.red_op option
-(** Inverse of {!op_clause}. *)
 
 val recognize :
   Fortran.Ast.do_header ->

@@ -498,23 +498,17 @@ let check_source (text : string) : (issue list, string) result =
 let reverify (prog : Ast.program) : (issue list, string) result =
   check_source (Printer.program_to_string prog)
 
-(** Target-aware variant of {!check_source}: Cedar text parses directly;
-    OpenMP text first re-reads through the directive lift
-    ({!Codegen.Openmp.lift_source}), so the same parser and race checks
-    apply to what the OpenMP backend actually emitted. *)
-let check_output ~(target : Codegen.Target.t) (text : string) :
+(** {!check_source} for either target's text: the one front end reads
+    Cedar and OpenMP alike, so the race checks see the directives actually
+    shipped, each read as the Cedar construct it lowers. *)
+let check_output ~target:(_ : Codegen.Target.t) (text : string) :
     (issue list, string) result =
-  match target with
-  | Codegen.Target.Cedar -> check_source text
-  | Codegen.Target.Openmp -> (
-      match Codegen.Openmp.lift_source text with
-      | Ok cedar -> check_source cedar
-      | Error msg -> Error ("openmp lift: " ^ msg))
+  check_source text
 
-(** Emit for [target] → (lift →) reparse → check. *)
+(** Emit for [target] → reparse → check. *)
 let reverify_target ~(target : Codegen.Target.t) (prog : Ast.program) :
     (issue list, string) result =
-  check_output ~target (Codegen.Emit.program_to_string ~target prog)
+  check_source (Codegen.Emit.program_to_string ~target prog)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic check                                                       *)

@@ -46,15 +46,16 @@ val reverify : Fortran.Ast.program -> (issue list, string) result
 
 val check_output :
   target:Codegen.Target.t -> string -> (issue list, string) result
-(** Target-aware {!check_source}: Cedar text parses directly; OpenMP
-    text first re-reads through {!Codegen.Openmp.lift_source}, so the
-    same parser and race checks apply to the emitted directives. *)
+(** {!check_source} for either target: the parser reads OpenMP
+    directives into the Cedar constructs they lower, so the same race
+    checks apply to the emitted directives.  [target] documents the
+    caller's dialect; the reader needs no hint. *)
 
 val reverify_target :
   target:Codegen.Target.t ->
   Fortran.Ast.program ->
   (issue list, string) result
-(** Emit for [target] → (lift →) reparse → check. *)
+(** Emit for [target] → reparse → check. *)
 
 val check_dynamic :
   ?input:float list ->

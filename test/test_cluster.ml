@@ -1516,9 +1516,12 @@ let os_threads () =
   settle (count ()) 40
 
 (* the largest thread count seen while [f] runs, over the settled count
-   before it; the sampler thread is part of both *)
+   before it.  The count settles before the sampler starts, so a thread
+   left over from an earlier test that exits during the settle is in
+   neither number; the sampler itself is added to the settled count *)
 let threads_added_during f =
   let count () = Array.length (Sys.readdir "/proc/self/task") in
+  let before = os_threads () + 1 in
   let sampling = Atomic.make true and peak = Atomic.make 0 in
   let sampler =
     Thread.create
@@ -1529,7 +1532,6 @@ let threads_added_during f =
         done)
       ()
   in
-  let before = os_threads () in
   let v = f () in
   Atomic.set sampling false;
   Thread.join sampler;

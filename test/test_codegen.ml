@@ -1,7 +1,9 @@
 (* Tests for the target-parameterized codegen layer: the Cedar backend
    must be byte-identical to the classic printer, and the OpenMP backend
-   must lower each Cedar annotation to its directive — then survive the
-   validator's lift-and-recheck round trip. *)
+   must lower each Cedar annotation to its directive — which the parser
+   then reads back into the Cedar construct, to the same bytes when
+   printed again and to a program the checker accepts and the
+   interpreter runs like its Cedar source. *)
 
 open Fortran
 
@@ -20,21 +22,41 @@ let check_lacks text what sub =
 
 let omp src = Codegen.Openmp.program_to_string (Parser.parse_program src)
 
-(* lift the OpenMP text back and hold it to the same static checks the
-   Cedar output faces *)
-let lift_ok what text =
-  match Codegen.Openmp.lift_source text with
-  | Error m -> Alcotest.fail (what ^ ": lift failed: " ^ m)
-  | Ok lifted -> (
-      match Validate.check_source lifted with
-      | Error m -> Alcotest.fail (what ^ ": lifted text does not parse: " ^ m)
-      | Ok issues ->
-          if issues <> [] then
-            Alcotest.fail
-              (what ^ ": lifted text rejected: "
-              ^ String.concat "; "
-                  (List.map Validate.issue_to_string issues));
-          lifted)
+(* read the OpenMP text back: it must print to the same bytes, pass the
+   static checks the Cedar output faces, and run race-free with the PRINT
+   output of the Cedar source [src] *)
+let read_ok what src text =
+  let prog = Parser.parse_program text in
+  Alcotest.(check string) (what ^ ": reprints byte for byte") text
+    (Codegen.Openmp.program_to_string prog);
+  (match Validate.check_source text with
+  | Error m -> Alcotest.fail (what ^ ": text does not parse: " ^ m)
+  | Ok [] -> ()
+  | Ok issues ->
+      Alcotest.fail
+        (what ^ ": text rejected: "
+        ^ String.concat "; " (List.map Validate.issue_to_string issues)));
+  let races, out = Validate.check_dynamic ~cfg:cedar prog in
+  Alcotest.(check int) (what ^ ": no races") 0 (List.length races);
+  Alcotest.(check string) (what ^ ": output of the Cedar source")
+    (snd (Validate.check_dynamic ~cfg:cedar (Parser.parse_program src)))
+    out;
+  prog
+
+(* every statement of a program, nested ones included *)
+let all_stmts (prog : Ast.program) =
+  List.concat_map
+    (fun u -> Ast_utils.fold_stmts (fun acc s -> s :: acc) [] u.Ast.u_body)
+    prog
+
+let the_loop what prog =
+  match
+    List.filter_map
+      (function Ast.Do (h, b) when h.Ast.cls <> Ast.Seq -> Some (h, b) | _ -> None)
+      (all_stmts prog)
+  with
+  | [ l ] -> l
+  | ls -> Alcotest.failf "%s: %d parallel loops read back" what (List.length ls)
 
 (* ---------------- Cedar backend = classic printer ---------------- *)
 
@@ -86,12 +108,24 @@ let test_omp_reduction () =
   check_lacks text "reduction" "call lock";
   check_lacks text "reduction" "s_p1";
   check_has text "reduction" "s = s + a(i)";
-  ignore (lift_ok "reduction" text)
+  (* the clause reads back as a fresh partial, its identity init and a
+     lock-bracketed merge *)
+  let h, b = the_loop "reduction" (read_ok "reduction" red_src text) in
+  Alcotest.(check bool) "reduction: a cdoall" true (h.Ast.cls = Ast.Cdoall);
+  Alcotest.(check (list string)) "reduction: the partial is the local"
+    [ "s_q1" ] (List.map (fun d -> d.Ast.d_name) h.Ast.locals);
+  Alcotest.(check bool) "reduction: identity init" true
+    (b.Ast.preamble = [ Ast.Assign (Ast.LVar "s_q1", Ast.Num 0.0) ]);
+  Alcotest.(check bool) "reduction: merge under lock 1" true
+    (b.Ast.postamble
+    = [
+        Ast.CallSt ("lock", [ Ast.Int 1 ]);
+        Ast.Assign (Ast.LVar "s", Ast.Bin (Ast.Add, Ast.Var "s", Ast.Var "s_q1"));
+        Ast.CallSt ("unlock", [ Ast.Int 1 ]);
+      ])
 
-let test_omp_private_firstprivate () =
-  let text =
-    omp
-      {|      program fp
+let fp_src =
+  {|      program fp
       real a(100)
       real c
       c = 3.0
@@ -106,19 +140,25 @@ let test_omp_private_firstprivate () =
       end cdoall
       end
 |}
-  in
+
+let test_omp_private_firstprivate () =
+  let text = omp fp_src in
   check_has text "fp" "!$omp parallel do private(u) firstprivate(t)";
   (* the invariant init hoists in front of the directive *)
   check_has text "fp" "t = c*2.0";
   (* loop-locals hoist to unit-level declarations *)
   check_has text "fp" "real t\n";
   check_has text "fp" "real u\n";
-  ignore (lift_ok "fp" text)
+  (* the init moves back into the preamble of the loop it feeds *)
+  let h, b = the_loop "fp" (read_ok "fp" fp_src text) in
+  Alcotest.(check (list string)) "fp: private then firstprivate locals"
+    [ "u"; "t" ] (List.map (fun d -> d.Ast.d_name) h.Ast.locals);
+  Alcotest.(check bool) "fp: init in the preamble" true
+    (b.Ast.preamble
+    = [ Ast.Assign (Ast.LVar "t", Ast.Bin (Ast.Mul, Ast.Var "c", Ast.Num 2.0)) ])
 
-let test_omp_doacross () =
-  let text =
-    omp
-      {|      program dax
+let dax_src =
+  {|      program dax
       real a(100)
       cdoacross i = 2, 100
         call await(1, 1)
@@ -127,13 +167,20 @@ let test_omp_doacross () =
       end cdoacross
       end
 |}
-  in
+
+let test_omp_doacross () =
+  let text = omp dax_src in
   check_has text "doacross" "!$omp parallel do ordered(1)";
   check_has text "doacross" "!$omp ordered depend(sink: i - 1)";
   check_has text "doacross" "!$omp ordered depend(source)";
   check_lacks text "doacross" "call await";
   check_lacks text "doacross" "call advance";
-  ignore (lift_ok "doacross" text)
+  let h, b = the_loop "doacross" (read_ok "doacross" dax_src text) in
+  Alcotest.(check bool) "doacross: a cdoacross" true (h.Ast.cls = Ast.Cdoacross);
+  Alcotest.(check bool) "doacross: sink reads as await, source as advance"
+    true
+    (List.hd b.Ast.body = Ast.CallSt ("await", [ Ast.Int 1; Ast.Int 1 ])
+    && List.nth b.Ast.body 2 = Ast.CallSt ("advance", [ Ast.Int 1 ]))
 
 let test_omp_critical () =
   let text =
@@ -154,17 +201,16 @@ let test_omp_critical () =
   check_has text "critical" "!$omp end critical (lk2)";
   check_lacks text "critical" "call lock";
   (* the source races by design (shared s under a body-level lock is not
-     a shape the checker accepts), so only require the lift to restore
-     the calls and reparse — not a clean bill of health *)
-  match Codegen.Openmp.lift_source text with
-  | Error m -> Alcotest.fail ("critical: lift failed: " ^ m)
-  | Ok lifted -> (
-      check_has lifted "critical lift" "call lock(2)";
-      check_has lifted "critical lift" "call unlock(2)";
-      match Validate.check_source lifted with
-      | Ok _ -> ()
-      | Error m ->
-          Alcotest.fail ("critical: lifted text does not parse: " ^ m))
+     a shape the checker accepts), so only require the reader to restore
+     the calls — not a clean bill of health *)
+  let stmts = all_stmts (Parser.parse_program text) in
+  Alcotest.(check bool) "critical reads as lock(2)" true
+    (List.mem (Ast.CallSt ("lock", [ Ast.Int 2 ])) stmts);
+  Alcotest.(check bool) "end critical reads as unlock(2)" true
+    (List.mem (Ast.CallSt ("unlock", [ Ast.Int 2 ])) stmts);
+  match Validate.check_source text with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("critical: text does not parse: " ^ m)
 
 let test_omp_serial_demotion () =
   (* an array partial has no clause spelling: the loop demotes to a
@@ -211,17 +257,17 @@ let test_omp_sync_stripped_when_serial () =
   check_lacks text "serial sync" "!$omp";
   check_lacks text "serial sync" "call lock"
 
-let test_omp_commons () =
-  let text =
-    omp
-      {|      program com
+let com_src =
+  {|      program com
       common /blk/ x, y
       process common /gbl/ u, v
       x = 1.0
       u = 2.0
       end
 |}
-  in
+
+let test_omp_commons () =
+  let text = omp com_src in
   (* task-local Cedar common -> threadprivate; process common (one
      shared copy) is OpenMP's default shared common *)
   check_has text "commons" "common /blk/ x, y";
@@ -229,24 +275,65 @@ let test_omp_commons () =
   check_has text "commons" "common /gbl/ u, v";
   check_lacks text "commons" "threadprivate(/gbl/)";
   check_lacks text "commons" "process common";
-  (* the lift restores the process-common distinction from the absence
+  (* the reader restores the process-common distinction from the absence
      of a threadprivate directive *)
-  let lifted = lift_ok "commons" text in
-  check_has lifted "commons lift" "common /blk/ x, y";
-  check_has lifted "commons lift" "process common /gbl/ u, v"
+  let u = List.hd (read_ok "commons" com_src text) in
+  Alcotest.(check (list (pair string bool)))
+    "commons: /blk/ task-local, /gbl/ process"
+    [ ("blk", false); ("gbl", true) ]
+    (List.map (fun cb -> (cb.Ast.c_name, cb.Ast.c_process)) u.Ast.u_commons)
 
 let test_omp_unknown_directive_rejected () =
-  match Codegen.Openmp.lift_source "      !$omp barrier\n      end\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown directive must not lift"
+  match
+    Parser.parse_program
+      "      program bar\n      x = 1.0\n      !$omp barrier\n      end\n"
+  with
+  | exception Parser.Error (_, line) ->
+      Alcotest.(check int) "the error names the directive's line" 3 line
+  | _ -> Alcotest.fail "unknown directive must not parse"
+
+let test_omp_directive_column () =
+  (* a directive in column 1 reads the same as an indented one *)
+  let text = omp red_src in
+  let col1 =
+    String.split_on_char '\n' text
+    |> List.map (fun l ->
+           let t = String.trim l in
+           if String.starts_with ~prefix:"!$omp" t then t else l)
+    |> String.concat "\n"
+  in
+  check_has col1 "column 1" "\n!$omp parallel do";
+  Alcotest.(check bool) "same program" true
+    (Ast.equal_program (Parser.parse_program text) (Parser.parse_program col1))
 
 (* ---------------- corpus round trip ------------------------------ *)
+
+(* every emitted program reads back to a tree that prints the same bytes *)
+let test_corpus_reprints () =
+  List.iter
+    (fun (tlabel, opts) ->
+      let opts = { opts with Restructurer.Options.target = Codegen.Target.Openmp } in
+      List.iter
+        (fun w ->
+          let n = w.Workloads.Workload.small_size in
+          let prog = Parser.parse_program (w.Workloads.Workload.source n) in
+          let r = Restructurer.Driver.restructure opts prog in
+          let text = Codegen.Openmp.program_to_string r.Restructurer.Driver.program in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s reprints" w.Workloads.Workload.name tlabel)
+            text
+            (Codegen.Openmp.program_to_string (Parser.parse_program text)))
+        (Service.Traffic.corpus ()))
+    [
+      ("auto", Restructurer.Options.auto_1991 cedar);
+      ("adv", Restructurer.Options.advanced cedar);
+    ]
 
 let test_corpus_roundtrip () =
   List.iter
     (fun (tlabel, opts) ->
       (* validate on, like the cedard sweep: the driver demotes loops
-         the checker rejects, so what ships is what gets lifted *)
+         the checker rejects, so what ships is what gets read back *)
       let opts =
         {
           opts with
@@ -300,9 +387,13 @@ let tests =
       test_omp_sync_stripped_when_serial;
     Alcotest.test_case "openmp: commons map to threadprivate/shared"
       `Quick test_omp_commons;
-    Alcotest.test_case "openmp: lift rejects unknown directives" `Quick
+    Alcotest.test_case "openmp: reader rejects unknown directives" `Quick
       test_omp_unknown_directive_rejected;
+    Alcotest.test_case "openmp: column-1 directives read like indented ones"
+      `Quick test_omp_directive_column;
+    Alcotest.test_case "openmp: full corpus reprints byte for byte" `Slow
+      test_corpus_reprints;
     Alcotest.test_case
-      "openmp: full corpus lifts back and passes the static checker"
+      "openmp: full corpus reads back and passes the static checker"
       `Slow test_corpus_roundtrip;
   ]

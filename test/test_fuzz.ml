@@ -485,6 +485,59 @@ let validated ~prop prog =
                printed)
         else true
 
+(* the OpenMP target end to end: restructure with the validator on, emit
+   directives, read the text back with the one front end, and require
+   that the tree it reads prints to text that reads to the same tree,
+   runs with the serial program's output and no races, and passes the
+   static checker.  (The bytes may differ: the shared emitter spells a
+   negative literal [(-1e+30)], which reads back as a negation.) *)
+let openmp_executes ~prop prog =
+  let opts =
+    {
+      (R.Options.advanced cedar) with
+      R.Options.validate = true;
+      target = Codegen.Target.Openmp;
+    }
+  in
+  let orig = run_prog prog in
+  let res = R.Driver.restructure opts prog in
+  let text = Codegen.Openmp.program_to_string res.R.Driver.program in
+  match Parser.parse_program text with
+  | exception Parser.Error (msg, line) ->
+      report_failure ~prop prog
+        (Printf.sprintf "emitted OpenMP does not parse: line %d: %s\n--- emitted ---\n%s"
+           line msg text)
+  | omp -> (
+      let races, out = Validate.check_dynamic ~cfg:cedar omp in
+      let reprinted = Codegen.Openmp.program_to_string omp in
+      if not (Ast.equal_program omp (Parser.parse_program reprinted)) then
+        report_failure ~prop prog
+          (Printf.sprintf
+             "read back and printed again, the OpenMP text reads \
+              differently:\n%s--- emitted ---\n%s"
+             reprinted text)
+      else if orig <> out then
+        report_failure ~prop prog
+          (Printf.sprintf
+             "original output: %sOpenMP output: %s--- emitted ---\n%s" orig
+             out text)
+      else if races <> [] then
+        report_failure ~prop prog
+          (Printf.sprintf "dynamic races in the emitted OpenMP:\n%s\n%s\n"
+             (String.concat "\n" (List.map Interp.Race.issue_to_string races))
+             text)
+      else
+        match Validate.check_output ~target:Codegen.Target.Openmp text with
+        | Ok [] -> true
+        | Ok issues ->
+            report_failure ~prop prog
+              (Printf.sprintf "static validator rejected the emitted OpenMP:\n%s\n%s\n"
+                 (String.concat "\n" (List.map Validate.issue_to_string issues))
+                 text)
+        | Error msg ->
+            report_failure ~prop prog
+              (Printf.sprintf "emitted OpenMP does not reparse: %s\n" msg))
+
 let arbitrary_program =
   QCheck.make gen_program ~print:Printer.program_to_string
 
@@ -520,6 +573,11 @@ let prop_validated =
     ~name:"fuzz: validated output passes the checker and is race-free"
     ~count:60 ~long_factor:50 arbitrary_hard (fun prog ->
       validated ~prop:"validated" prog)
+
+let prop_openmp =
+  QCheck.Test.make ~name:"fuzz: OpenMP output executes like the serial program"
+    ~count:60 ~long_factor:50 arbitrary_hard (fun prog ->
+      openmp_executes ~prop:"openmp" prog)
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"fuzz: printed programs reparse equal" ~count:120
@@ -566,16 +624,93 @@ let test_giv_serial_final_value () =
   Alcotest.(check bool) "advanced restructuring keeps t's final value" true
     (preserves ~prop:"giv-serial" (R.Options.advanced cedar) prog)
 
+(* Regressions from the OpenMP property at QCHECK_LONG=1, shrunk by hand.
+   Seed 27: [u = max(u, i2*u)] was taken for a max search and became
+   [u = max(u, maxval(cedar_iota(3, 11)*u))], one multiply per outer trip
+   where the loop does nine.  Seed 61: [u = u + c(i2 + 2)*4] became
+   [u = u + dotproduct(c(6:9), 4)], which takes no scalar operand. *)
+let max_self_source =
+  {|      PROGRAM MAXSELF
+      u = 5
+      DO i1 = 1, 3
+        DO i2 = 3, 11
+          u = max(u, i2*u)
+        enddo
+      enddo
+      print *, u
+      END
+|}
+
+let dot_scalar_source =
+  {|      PROGRAM DOTSCAL
+      REAL c(20)
+      DO i = 1, 20
+        c(i) = i
+      enddo
+      u = 4
+      DO i1 = 4, 7
+        DO i2 = 4, 7
+          u = u + c(i2 + 2)*4
+        enddo
+      enddo
+      print *, u
+      END
+|}
+
+let test_vector_reductions () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Parser.parse_program src in
+      List.iter
+        (fun (set, opts) ->
+          let prop = name ^ "-" ^ set in
+          Alcotest.(check bool) prop true (preserves ~prop opts prog))
+        [ ("auto", R.Options.auto_1991 cedar); ("advanced", R.Options.advanced cedar) ])
+    [ ("max-self", max_self_source); ("dot-scalar", dot_scalar_source) ]
+
+(* Regression (QCHECK_LONG=1 QCHECK_SEED=62, shrunk by hand): the i2 loop
+   became a CDOACROSS with await distance 3 for b, but [s] is an
+   induction variable the DOACROSS path never substituted, so [s] raced
+   between neighbouring iterations. *)
+let doacross_giv_source =
+  {|      PROGRAM DAXGIV
+      REAL b(20), d(20), e(20)
+      DO i = 1, 20
+        b(i) = i
+        d(i) = 2*i
+        e(i) = 3*i
+      enddo
+      s = 3
+      DO i1 = 4, 7
+        DO i2 = 3, 9
+          b(i2 - 1) = b(i2 - 1) + 7
+          s = s - d(i1 + 2)
+          b(i2 + 2) = max(e(i1), 6 + s)
+        enddo
+      enddo
+      print *, s, b(5), b(11)
+      END
+|}
+
+let test_doacross_induction () =
+  Alcotest.(check bool) "validated output is race-free" true
+    (validated ~prop:"doacross-giv" (Parser.parse_program doacross_giv_source))
+
 let tests =
   [
     Alcotest.test_case "fuzz: GIV final value written when the loop stays serial"
       `Quick test_giv_serial_final_value;
+    Alcotest.test_case "fuzz: vector reduction intrinsics compute the loop"
+      `Quick test_vector_reductions;
+    Alcotest.test_case "fuzz: DOACROSS is not taken over an induction variable"
+      `Quick test_doacross_induction;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_roundtrip;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_auto;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_advanced;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_hard_auto;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_hard_advanced;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_validated;
+    QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_openmp;
   ]
 
 (* ------------------------------------------------------------------ *)

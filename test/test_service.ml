@@ -294,6 +294,28 @@ let test_server_parse_error_fails () =
   let stats = Server.shutdown server in
   Alcotest.(check int) "failure counted" 1 stats.Stats.failed
 
+let test_server_unknown_directive_fails () =
+  (* the front end reads the OpenMP directives it emits; any other one is
+     a typed parse error that fails the job at once — no retry down the
+     ladder, no passthrough that would drop the directive as a comment *)
+  let server = Server.create ~workers:1 ~cache_capacity:4 () in
+  let req =
+    {
+      Server.req_name = "barrier";
+      req_source =
+        "      program bar\n      x = 1.0\n      !$omp barrier\n      end\n";
+      req_options = Restructurer.Options.auto_1991 Machine.Config.cedar_config1;
+    }
+  in
+  (match Server.run server req with
+  | Server.Failed m ->
+      Alcotest.(check bool) ("names the directive's line: " ^ m) true
+        (String.starts_with ~prefix:"parse error, line 3:" m)
+  | _ -> Alcotest.fail "expected Failed");
+  let stats = Server.shutdown server in
+  Alcotest.(check int) "failure counted" 1 stats.Stats.failed;
+  Alcotest.(check int) "not retried" 0 stats.Stats.retries
+
 let test_server_expired_job_cancelled () =
   (* a deadline far in the past: the job expires in the queue and must
      come back Cancelled without running; the server stays usable *)
@@ -638,6 +660,8 @@ let tests =
       test_server_cache_short_circuit;
     Alcotest.test_case "server: parse error -> Failed" `Quick
       test_server_parse_error_fails;
+    Alcotest.test_case "server: unknown !$omp directive -> parse error"
+      `Quick test_server_unknown_directive_fails;
     Alcotest.test_case "server: expired job -> Cancelled" `Quick
       test_server_expired_job_cancelled;
     Alcotest.test_case "driver: interrupt hook aborts" `Quick
