@@ -644,17 +644,36 @@ let write_all ?deadline fd buf off len =
   in
   go off len
 
-let rec accept ?deadline fd =
-  match Unix.accept fd with
-  | conn, addr -> `Conn (conn, addr)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ?deadline fd
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-    -> (
-      match wait_readable ?deadline fd with
-      | `Ready -> accept ?deadline fd
-      | `Deadline -> `Deadline)
-  | exception Unix.Unix_error (e, _, _) -> `Error e
+let accept_each ?(stop = Atomic.make false) fd handle =
+  let rec loop () =
+    if not (Atomic.get stop) then
+      match Unix.accept fd with
+      | conn, _ ->
+          handle conn;
+          loop ()
+      | exception
+          Unix.Unix_error
+            ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
+        ->
+          ignore (wait_readable fd);
+          loop ()
+      | exception Unix.Unix_error (_, _, _) -> ()
+  in
+  try loop () with Cancelled -> ()
+
+let listen ~host ~port ~backlog =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt fd Unix.SO_REUSEADDR true;
+     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     Unix.listen fd backlog;
+     Unix.set_nonblock fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, p) -> (fd, p)
+  | Unix.ADDR_UNIX _ -> (fd, port)
 
 (* ------------------------------------------------------------------ *)
 (* Promises: the cross-thread completion bridge                        *)

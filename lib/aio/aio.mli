@@ -173,14 +173,16 @@ val write_all :
 (** Write all [len] bytes, suspending on EAGAIN; [`Closed] on EPIPE or
     any other hard error.  @raise Cancelled *)
 
-val accept :
-  ?deadline:float ->
-  Unix.file_descr ->
-  [ `Conn of Unix.file_descr * Unix.sockaddr
-  | `Error of Unix.error
-  | `Deadline ]
-(** Accept on a non-blocking listener, suspending until a connection
-    arrives.  @raise Cancelled *)
+val listen : host:string -> port:int -> backlog:int -> Unix.file_descr * int
+(** A non-blocking TCP listener with [SO_REUSEADDR] on [host:port]
+    ([0] = ephemeral), and the port it bound.
+    @raise Unix.Unix_error when the address cannot be bound. *)
+
+val accept_each :
+  ?stop:bool Atomic.t -> Unix.file_descr -> (Unix.file_descr -> unit) -> unit
+(** Fiber context: accept connections on a listener, suspending between
+    them, and hand each to the callback, until [stop] is set, accept
+    fails, or the fiber is cancelled. *)
 
 (** {1 Cross-thread completions}
 

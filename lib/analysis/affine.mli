@@ -31,5 +31,4 @@ val of_expr : ?env:t SMap.t -> Fortran.Ast.expr -> t option
 
 val to_expr : t -> Fortran.Ast.expr
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

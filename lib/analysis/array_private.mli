@@ -11,7 +11,6 @@ type dim_range =
 
 type region = dim_range list
 
-val range_covers : dim_range -> dim_range -> bool
 val covers : region -> region -> bool
 
 val privatizable :

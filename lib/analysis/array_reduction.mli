@@ -8,12 +8,6 @@ type array_reduction = {
   ar_sites : int;  (** number of accumulation statements *)
 }
 
-val accum_form :
-  Fortran.Ast.stmt ->
-  (string * Fortran.Ast.expr list * Scalars.red_op * Fortran.Ast.expr) option
-(** Recognize one accumulation statement; the additive case looks down
-    the whole left-associated +/- spine. *)
-
 val recognize : string -> Fortran.Ast.stmt list -> array_reduction option
 (** Is every access to the array in the body an accumulation with a
     single operator (and no other read)? *)

@@ -347,6 +347,3 @@ let carried (deps : dep list) = List.filter (fun d -> d.d_carried) deps
 
 (** Summarize the reasons blocking parallelization (for reporting and for
     the run-time-test transformation). *)
-let blocking_reasons deps =
-  carried deps |> List.map (fun d -> (d.d_array, d.d_reason))
-  |> List.sort_uniq compare

@@ -28,10 +28,6 @@ type dep = {
 val show_kind : kind -> string
 val show_distance : distance -> string
 val show_reason : reason -> string
-val show_dep : dep -> string
-val equal_kind : kind -> kind -> bool
-val equal_distance : distance -> distance -> bool
-val equal_reason : reason -> reason -> bool
 
 val dependences :
   ?injective:Fortran.Ast_utils.SSet.t ->
@@ -53,4 +49,3 @@ val dependences :
 val carried : dep list -> dep list
 (** Dependences that prevent DOALL execution of the tested loop. *)
 
-val blocking_reasons : dep list -> (string * reason) list

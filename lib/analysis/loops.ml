@@ -30,17 +30,6 @@ let level_of_header (h : Ast.do_header) =
 let indices (n : nest) = List.map (fun l -> l.l_index) n
 
 (** Constant trip count if bounds are literal. *)
-let trip_count_const (l : level) =
-  match (l.l_lo, l.l_hi, l.l_step) with
-  | Ast.Int lo, Ast.Int hi, Ast.Int st when st <> 0 ->
-      Some (max 0 (((hi - lo) / st) + 1))
-  | _ -> None
-
-(** A variable is invariant in the body if it is never written there and is
-    not a loop index of the body’s own loops. *)
-let invariant_vars (body : Ast.stmt list) : SSet.t -> SSet.t =
- fun candidates -> SSet.diff candidates (Ast_utils.writes_of body)
-
 let is_invariant_expr (body : Ast.stmt list) (e : Ast.expr) =
   let used = Ast_utils.expr_vars e in
   let written = Ast_utils.writes_of body in
@@ -170,15 +159,3 @@ let rec inner_loops (body : Ast.stmt list) : Ast.do_header list =
       | Ast.Labeled (_, s) -> inner_loops [ s ]
       | _ -> [])
     body
-
-(** Depth of the deepest DO nesting in a statement list. *)
-let rec nest_depth (body : Ast.stmt list) =
-  List.fold_left
-    (fun acc s ->
-      max acc
-        (match s with
-        | Ast.Do (_, blk) -> 1 + nest_depth blk.body
-        | Ast.If (_, t, e) -> max (nest_depth t) (nest_depth e)
-        | Ast.Labeled (_, s) -> nest_depth [ s ]
-        | _ -> 0))
-    0 body

@@ -12,10 +12,6 @@ type nest = level list  (** outermost first *)
 
 val level_of_header : Fortran.Ast.do_header -> level
 val indices : nest -> string list
-val trip_count_const : level -> int option
-
-val invariant_vars :
-  Fortran.Ast.stmt list -> Fortran.Ast_utils.SSet.t -> Fortran.Ast_utils.SSet.t
 
 val is_invariant_expr : Fortran.Ast.stmt list -> Fortran.Ast.expr -> bool
 (** True when the expression reads nothing the body writes. *)
@@ -38,4 +34,3 @@ val path_before : int list -> int list -> bool
 (** Lexicographic statement-path order. *)
 
 val inner_loops : Fortran.Ast.stmt list -> Fortran.Ast.do_header list
-val nest_depth : Fortran.Ast.stmt list -> int

@@ -10,6 +10,5 @@ type pattern =
     }
   | Minmax_search of { acc : string; arg : Fortran.Ast.expr; is_max : bool }
 
-val recognize_stmt : string -> Fortran.Ast.stmt -> pattern option
 val recognize : string -> Fortran.Ast.stmt list -> pattern option
 (** Recognize a single-statement loop body over the given index. *)

@@ -17,11 +17,6 @@ type classification =
   | Privatizable of { live_out : bool }
   | Shared_dep
 
-val show_red_op : red_op -> string
-val show_classification : classification -> string
-val equal_red_op : red_op -> red_op -> bool
-val equal_classification : classification -> classification -> bool
-
 val reduction_form :
   string -> Fortran.Ast.stmt -> (red_op * Fortran.Ast.expr) option
 (** Recognize [v = v op e] (or symmetric) and return the operator and the
@@ -43,4 +38,3 @@ val classify :
 (** Classify every scalar written in the loop body. *)
 
 val blockers : result -> string list
-val needs_last_value : result -> Fortran.Ast.stmt list -> (string * bool) list

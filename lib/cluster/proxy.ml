@@ -106,9 +106,10 @@ let kill_conn conn =
   conn.c_dead <- true;
   try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-let send conn ~id msg =
-  if not conn.c_dead then
-    ignore (Aio.Mailbox.put conn.c_out (Net.Wire.encode ~id msg))
+let send_frame conn frame =
+  if not conn.c_dead then ignore (Aio.Mailbox.put conn.c_out frame)
+
+let send conn ~id msg = send_frame conn (Net.Wire.encode ~id msg)
 
 let writer t conn =
   let rec loop () =
@@ -221,28 +222,33 @@ let count_shed t = M.incr t.m_shed
    key's current ring owner (failover landed it there, or ownership
    moved under a topology change) is pushed back to the owner by a
    fire-and-forget fiber, so the next request for the key routes
-   straight into a warm cache.  The fiber takes a slot of the
-   in-flight budget like any relay; being best-effort, it is skipped
-   when none is left. *)
-let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
-  match reply with
-  | Net.Wire.R_done
-      {
-        r_cached = true;
-        r_rung = Service.Server.Full;
-        r_text;
-        r_cycles;
-        r_global_words;
-        r_notes;
-        _;
-      } -> (
-      match Ring.lookup (Membership.ring t.members) key with
-      | Some owner when owner <> served_by ->
+   straight into a warm cache.  Ownership is checked first: only a
+   misplaced reply, and its Submit for the name, are decoded.  The
+   fiber takes a slot of the in-flight budget like any relay; being
+   best-effort, it is skipped when none is left. *)
+let schedule_read_repair t ~key ~served_by ~submit reply =
+  match Ring.lookup (Membership.ring t.members) key with
+  | Some owner when owner <> served_by -> (
+      match (Net.Wire.decode reply, Net.Wire.decode submit) with
+      | ( Ok
+            ( _,
+              Net.Wire.Result
+                (Net.Wire.R_done
+                  {
+                    r_cached = true;
+                    r_rung = Service.Server.Full;
+                    r_text;
+                    r_cycles;
+                    r_global_words;
+                    r_notes;
+                    _;
+                  }) ),
+          Ok (_, Net.Wire.Submit s) ) ->
           let p =
             {
               Net.Wire.cp_key = key;
               cp_digest = Service.Cache.digest r_text;
-              cp_name = name;
+              cp_name = s.Net.Wire.sub_name;
               cp_text = r_text;
               cp_cycles = r_cycles;
               cp_global_words = r_global_words;
@@ -267,27 +273,24 @@ let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
       | _ -> ())
   | _ -> ()
 
-(* Walk the candidates.  A typed reply from a shard — any reply, even
-   Overloaded from its admission control — proves the shard is alive;
-   only R_overloaded among typed replies justifies trying the next
-   candidate (the successor may have room).  A transport error demotes
-   the shard and moves on. *)
-let relay_submit t (s : Net.Wire.submit) =
-  let key =
-    Service.Server.cache_key
-      {
-        Service.Server.req_name = s.Net.Wire.sub_name;
-        req_source = s.Net.Wire.sub_source;
-        req_options = s.Net.Wire.sub_options;
-      }
-  in
+let overloaded_reply =
+  Net.Wire.encode ~id:0 (Net.Wire.Result Net.Wire.R_overloaded)
+
+(* Walk the candidates with the client's Submit frame as it arrived,
+   routed on its content address [key]; the reply frame comes back
+   undecoded.  A typed reply from a shard — any reply, even Overloaded
+   from its admission control — proves the shard is alive; only
+   R_overloaded, read off the tag byte, justifies trying the next
+   candidate (the successor may have room).  A transport error, or a
+   reply that is not a Result, demotes the shard and moves on. *)
+let relay_submit t ~key submit =
   let ring, _epoch = Membership.ring_epoch t.members in
   let gen0 = M.counter_value t.m_topo_changes in
   let candidates = Ring.route ring key ~n:(max 1 t.cfg.failover) in
   let rec go i = function
     | [] ->
         count_shed t;
-        Net.Wire.R_overloaded
+        overloaded_reply
     | shard_id :: rest -> (
         let try_next () = go (i + 1) rest in
         (* the barrier guarantees no membership change lands while this
@@ -298,24 +301,21 @@ let relay_submit t (s : Net.Wire.submit) =
         | None -> try_next ()
         | Some u -> (
             match
-              with_upstream t u (fun c ->
-                  Net.Client.submit ~trace:s.Net.Wire.sub_trace c
-                    ~name:s.Net.Wire.sub_name
-                    ~options:s.Net.Wire.sub_options s.Net.Wire.sub_source)
+              with_upstream t u (fun c -> Net.Client.request_frame c submit)
             with
-            | Ok reply -> (
+            | Ok reply when Net.Wire.peek_reply reply <> None -> (
                 Membership.note_success t.members shard_id;
-                match reply with
-                | Net.Wire.R_overloaded when rest <> [] ->
+                match Net.Wire.peek_reply reply with
+                | Some `Overloaded when rest <> [] ->
                     (* saturated, not dead: spill to the successor *)
                     try_next ()
-                | reply ->
+                | _ ->
                     M.incr u.u_routed;
                     if i > 0 then M.incr t.m_failovers;
-                    schedule_read_repair t ~name:s.Net.Wire.sub_name ~key
-                      ~served_by:shard_id reply;
+                    schedule_read_repair t ~key ~served_by:shard_id ~submit
+                      reply;
                     reply)
-            | Error _ ->
+            | Ok _ | Error _ ->
                 Membership.note_failure t.members shard_id;
                 try_next ()))
   in
@@ -562,16 +562,19 @@ let handle_cluster_remove t sid =
 (* Per-connection fibers                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* admin requests that make shard round trips run as relay fibers too *)
+(* submits, and admin requests that make shard round trips, run as
+   relay fibers; [work] returns the reply frame, stamped with [id] *)
 let spawn_relay t conn ~id work =
   conn.c_alive <- conn.c_alive + 1;
   ignore
     (Aio.spawn (fun () ->
          let reply =
            try work ()
-           with _ -> Net.Wire.Result (Net.Wire.R_error "proxy relay failed")
+           with _ ->
+             Net.Wire.encode ~id
+               (Net.Wire.Result (Net.Wire.R_error "proxy relay failed"))
          in
-         send conn ~id reply;
+         send_frame conn reply;
          release t;
          producer_finished conn))
 
@@ -589,15 +592,25 @@ let overloaded = Net.Wire.Result Net.Wire.R_overloaded
 let topology_busy t =
   Net.Wire.Cluster_ack (refused t "proxy overloaded; retry the membership change")
 
+(* a Submit is relayed as the frame it arrived in, id rewritten both
+   ways *)
+let relay_raw_submit t conn ~key frame =
+  let id = Net.Wire.frame_id frame in
+  relay_or_busy t conn ~id ~counted:true ~busy:overloaded (fun () ->
+      Net.Wire.with_id
+        (with_relay_barrier t (fun () -> relay_submit t ~key frame))
+        id)
+
 let dispatch t conn ~id msg =
-  let routed work () = with_relay_barrier t work in
+  let routed work () = Net.Wire.encode ~id (with_relay_barrier t work) in
+  let reply work () = Net.Wire.encode ~id (work ()) in
   match msg with
   | Net.Wire.Ping ->
       send conn ~id Net.Wire.Pong;
       `Continue
-  | Net.Wire.Submit s ->
-      relay_or_busy t conn ~id ~counted:true ~busy:overloaded
-        (routed (fun () -> Net.Wire.Result (relay_submit t s)));
+  | Net.Wire.Submit _ ->
+      (* unreachable: the reader relays every Submit frame raw *)
+      send conn ~id (Net.Wire.Result (Net.Wire.R_error "proxy relay failed"));
       `Continue
   | Net.Wire.Cache_push p ->
       relay_or_busy t conn ~id ~counted:true ~busy:(Net.Wire.Cache_ack false)
@@ -616,12 +629,12 @@ let dispatch t conn ~id msg =
   (* topology changes take the drain side of the barrier, never the
      relay side — not [routed] *)
   | Net.Wire.Cluster_add a ->
-      relay_or_busy t conn ~id ~busy:(topology_busy t) (fun () ->
-          Net.Wire.Cluster_ack (handle_cluster_add t a));
+      relay_or_busy t conn ~id ~busy:(topology_busy t)
+        (reply (fun () -> Net.Wire.Cluster_ack (handle_cluster_add t a)));
       `Continue
   | Net.Wire.Cluster_remove sid ->
-      relay_or_busy t conn ~id ~busy:(topology_busy t) (fun () ->
-          Net.Wire.Cluster_ack (handle_cluster_remove t sid));
+      relay_or_busy t conn ~id ~busy:(topology_busy t)
+        (reply (fun () -> Net.Wire.Cluster_ack (handle_cluster_remove t sid)));
       `Continue
   | Net.Wire.Metrics_json_req ->
       send conn ~id
@@ -643,51 +656,43 @@ let dispatch t conn ~id msg =
                  (Net.Wire.message_kind_name msg))));
       `Close
 
+(* A Submit is relayed as it arrived; a frame that does not decode, a
+   malformed Submit included, is answered on id 0 and ends the
+   connection: it never reaches a shard.  Same read deadlines as
+   Net.Server. *)
 let reader t conn =
-  let stream = Net.Wire.Stream.create () in
-  (* same deadline discipline as Net.Server: idle connections carry no
-     timer; the first byte of a frame arms one absolute deadline *)
-  let frame_deadline = ref None in
-  let update_deadline () =
-    if Net.Wire.Stream.midframe stream then begin
-      if !frame_deadline = None && t.cfg.read_timeout_s > 0.0 then
-        frame_deadline := Some (Aio.now () +. t.cfg.read_timeout_s)
-    end
-    else frame_deadline := None
+  let fail err =
+    send conn ~id:0
+      (Net.Wire.Result (Net.Wire.R_error (Net.Wire.error_to_string err)));
+    false
   in
-  let rec loop () =
-    if conn.c_dead || Atomic.get t.draining then ()
-    else
-      match Net.Wire.Stream.next stream with
-      | `Frame (id, msg) -> (
-          update_deadline ();
-          match dispatch t conn ~id msg with
-          | `Continue -> loop ()
-          | `Close -> ())
-      | `Oversized (id, got) ->
-          update_deadline ();
-          send conn ~id
-            (Net.Wire.Result
-               (Net.Wire.R_too_large
-                  { limit = Net.Wire.hard_max_payload; got }));
-          loop ()
-      | `Fail err ->
-          send conn ~id:0
-            (Net.Wire.Result
-               (Net.Wire.R_error (Net.Wire.error_to_string err)))
-      | `Need_more -> (
-          update_deadline ();
-          match
-            Aio.read ?deadline:!frame_deadline conn.c_fd t.scratch 0
-              (Bytes.length t.scratch)
-          with
-          | `Data n ->
-              Net.Wire.Stream.feed stream t.scratch 0 n;
-              loop ()
-          | `Eof -> ()
-          | `Deadline -> kill_conn conn)
+  let handle = function
+    | `Frame frame -> (
+        match Net.Wire.submit_key frame with
+        | Some (Ok key) ->
+            relay_raw_submit t conn ~key frame;
+            true
+        | Some (Error err) -> fail err
+        | None -> (
+            match Net.Wire.decode frame with
+            | Error err -> fail err
+            | Ok (id, msg) -> dispatch t conn ~id msg = `Continue))
+    | `Oversized (id, got) ->
+        send conn ~id
+          (Net.Wire.Result
+             (Net.Wire.R_too_large { limit = Net.Wire.hard_max_payload; got }));
+        true
+    | `Fail err -> fail err
   in
-  (try loop () with _ -> ());
+  (try
+     match
+       Net.Server.read_frames ~timeout_s:t.cfg.read_timeout_s
+         ~alive:(fun () -> not (conn.c_dead || Atomic.get t.draining))
+         conn.c_fd (Net.Wire.Stream.create ()) t.scratch handle
+     with
+     | `Deadline -> kill_conn conn
+     | `Eof | `Stopped -> ()
+   with _ -> ());
   producer_finished conn
 
 (* ------------------------------------------------------------------ *)
@@ -699,18 +704,7 @@ let handle_accept t fd =
     try Unix.close fd with Unix.Unix_error _ -> ())
   else if List.length t.conns >= t.cfg.max_conns then begin
     count_shed t;
-    Unix.set_nonblock fd;
-    ignore
-      (Aio.spawn (fun () ->
-           let s =
-             Net.Wire.encode ~id:0 (Net.Wire.Result Net.Wire.R_overloaded)
-           in
-           let b = Bytes.unsafe_of_string s in
-           ignore
-             (Aio.write_all
-                ~deadline:(Aio.now () +. 5.0)
-                fd b 0 (Bytes.length b));
-           try Unix.close fd with Unix.Unix_error _ -> ()))
+    Net.Server.refuse fd
   end
   else begin
     Unix.set_nonblock fd;
@@ -729,19 +723,8 @@ let handle_accept t fd =
   end
 
 let accept_loop t =
-  try
-    let rec loop () =
-      if Atomic.get t.stop then ()
-      else
-        match Aio.accept t.listen_fd with
-        | `Conn (fd, _addr) ->
-            handle_accept t fd;
-            loop ()
-        | `Deadline -> loop ()
-        | `Error _ -> Atomic.set t.stop true
-    in
-    loop ()
-  with Aio.Cancelled -> ()
+  Aio.accept_each ~stop:t.stop t.listen_fd (handle_accept t);
+  Atomic.set t.stop true
 
 let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
     ?(down_after = 2) ?(seed = 0x5eed) shards =
@@ -759,19 +742,8 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
         (s.Membership.sh_id, shard_upstream cfg metrics s))
       shards
   in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port) in
-  (try Unix.bind listen_fd addr
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> cfg.port
+  let listen_fd, bound_port =
+    Aio.listen ~host:cfg.host ~port:cfg.port ~backlog:64
   in
   let t =
     {

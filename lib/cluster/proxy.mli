@@ -2,10 +2,14 @@
     cedarnet servers.
 
     Speaks {!Net.Wire} on both sides.  Clients connect exactly as they
-    would to a single cedard; each [Submit] is content-addressed with
-    the same canonical key the shards use ({!Service.Server.cache_key})
-    and routed to the key's ring owner, so the same program always
-    lands on the same shard — and therefore in the same warm cache.
+    would to a single cedard.  A [Submit] is never decoded: the proxy
+    checks its payload structurally ({!Net.Wire.submit_key}, so a
+    malformed one is answered [R_error] on id 0 and never reaches a
+    shard), routes on the digest of its keyed byte range — the shards'
+    {!Service.Server.cache_key} — to the key's ring owner, and forwards
+    the frame with only the request id rewritten; the shard's Result
+    frame comes back the same way.  So the same program always lands on
+    the same shard, and therefore in the same warm cache.
     Requests pipeline: each admitted submit is relayed by its own fiber
     on the proxy's event loop, over a reused per-shard connection from
     an {!Upstream} pool.  At most 16 shard round trips run at once;
@@ -48,7 +52,7 @@
     not the key's current ring owner (failover, or ownership moved
     under a topology change) is pushed back to the owner off the
     critical path, so subsequent requests for the key land warm on the
-    first candidate. *)
+    first candidate.  Only such a misplaced reply is decoded. *)
 
 type cfg = {
   host : string;

@@ -3,19 +3,9 @@
     [lib/codegen]).  Precedence-aware expression printing lives only
     here, so backends cannot drift on expression syntax. *)
 
-val prec_of : Ast.expr -> int
-(** Precedence rank used for minimal parenthesization (9 = atom). *)
-
-val binop_str : Ast.binop -> string
-
-val float_lit : float -> string
-(** A float literal that reparses to the same value. *)
-
 val expr_str : Ast.expr -> string
-val section_dim_str : Ast.expr Ast.section_dim -> string
 val lhs_str : Ast.lhs -> string
 val dtype_str : Ast.dtype -> string
-val dims_str : (Ast.expr * Ast.expr) list -> string
 val decl_line : Ast.decl -> string
 
 val emit_line : Buffer.t -> ?label:int -> int -> string -> unit

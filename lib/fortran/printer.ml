@@ -156,11 +156,6 @@ let program_to_string (p : program) =
     p;
   Buffer.contents buf
 
-let stmt_to_string s =
-  let buf = Buffer.create 128 in
-  emit_stmt buf 0 s;
-  Buffer.contents buf
-
 let unit_to_string u =
   let buf = Buffer.create 1024 in
   emit_unit buf u;

@@ -13,7 +13,6 @@ val emit_stmt : Buffer.t -> int -> Ast.stmt -> unit
 
 val emit_unit : Buffer.t -> Ast.punit -> unit
 
-val stmt_to_string : Ast.stmt -> string
 val unit_to_string : Ast.punit -> string
 
 val program_to_string : Ast.program -> string

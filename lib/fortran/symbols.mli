@@ -24,7 +24,6 @@ type t = {
   formals : string list;
 }
 
-val element_bytes : Ast.dtype -> int
 val implicit_type : string -> Ast.dtype
 (** Fortran's implicit rules: I–N integer, else real. *)
 
@@ -35,9 +34,6 @@ val lookup : t -> string -> sym option
 val is_array : t -> string -> bool
 val rank : t -> string -> int
 val dtype_of : t -> string -> Ast.dtype
-
-val extents : t -> string -> (int * int option) list
-(** Per dimension: (lower bound, extent if constant). *)
 
 val size_elems : t -> string -> int option
 val size_bytes : t -> string -> int option

@@ -25,8 +25,6 @@
 
 type access = ARead | AWrite
 
-val show_access : access -> string
-
 type issue = {
   i_unit : string;  (** reserved; the executor does not track unit names *)
   i_loop : string;  (** index variable of the monitored loop *)

@@ -53,18 +53,12 @@ type frame = {
 val ref_str : string -> int list -> string
 (** ["a(1,2)"] — render an array reference for diagnostics. *)
 
-val bounds_str : arr -> string
-(** The declared bounds, e.g. ["1:10,0:*"]. *)
-
 val linear_index : arr -> int list -> int
 (** Linearize subscripts; bounds-checked.  Errors name the array, the
     full offending index vector and the declared bounds. *)
 
 val get_elem : arr -> int list -> float
 val set_elem : arr -> int list -> float -> unit
-
-val total_elems : (int * int) array -> int
-(** Element count behind the given dimension descriptors. *)
 
 val make_array :
   placement:Machine.Memory.placement ->

@@ -224,14 +224,14 @@ let current_fd t =
           Ok fd
       | Error _ as e -> e)
 
-let send t ?deadline fd ~id msg =
+let send t ?deadline fd frame =
   match t.io with
   | Blocking -> (
-      match Wire.write_frame fd ~id msg with
+      match Wire.write_raw fd frame with
       | () -> `Sent
       | exception Unix.Unix_error (e, _, _) -> `Closed (Unix.error_message e))
   | Fiber -> (
-      let b = Bytes.unsafe_of_string (Wire.encode ~id msg) in
+      let b = Bytes.unsafe_of_string frame in
       match Aio.write_all ?deadline fd b 0 (Bytes.length b) with
       | `Ok ->
           Obs.Metrics.incr ~by:(Bytes.length b) Wire.bytes_written;
@@ -252,12 +252,13 @@ let rec read t ?deadline fd =
       | exception Unix.Unix_error (_, _, _) -> `Eof)
 
 (* One attempt: send the frame, wait for the frame echoing [id] (or an
-   unsolicited id-0 reply such as the accept-time Overloaded shed).
-   [`Retry] means the connection is dead and the request may be resent
-   on a fresh one; [`Fatal] means retrying cannot help.  A fiber
-   client bounds the whole attempt by one deadline; a blocking one
-   bounds each send and read by the socket timeouts. *)
-let attempt t fd ~id msg =
+   unsolicited id-0 reply such as the accept-time Overloaded shed) and
+   [accept] it.  [`Retry] means the connection is dead — or the reply
+   does not decode — and the request may be resent on a fresh one;
+   [`Fatal] means retrying cannot help.  A fiber client bounds the
+   whole attempt by one deadline; a blocking one bounds each send and
+   read by the socket timeouts. *)
+let attempt t fd ~id frame accept =
   let deadline =
     if t.io = Fiber && t.cfg.request_timeout_s > 0.0 then
       Some (Aio.now () +. t.cfg.request_timeout_s)
@@ -268,9 +269,13 @@ let attempt t fd ~id msg =
       (Printf.sprintf "request timed out after %.1fs" t.cfg.request_timeout_s)
   in
   let rec await () =
-    match Wire.Stream.next t.stream with
-    | `Frame (rid, reply) when rid = id || rid = 0 -> `Ok reply
-    | `Frame (_, _) -> await () (* stale reply from a past id *)
+    match Wire.Stream.next_raw t.stream with
+    | `Frame reply when Wire.frame_id reply = id || Wire.frame_id reply = 0
+      -> (
+        match accept reply with
+        | Ok v -> `Ok v
+        | Error err -> `Retry (Wire.error_to_string err))
+    | `Frame _ -> await () (* stale reply from a past id *)
     | `Oversized (_, got) ->
         `Fatal (Printf.sprintf "reply too large: %d bytes" got)
     | `Fail err -> `Retry (Wire.error_to_string err)
@@ -287,17 +292,19 @@ let attempt t fd ~id msg =
                else "connection closed by server")
         | `Deadline -> timed_out ())
   in
-  match send t ?deadline fd ~id msg with
+  match send t ?deadline fd frame with
   | `Closed why -> `Retry (Printf.sprintf "send: %s" why)
   | `Deadline -> timed_out ()
   | `Sent -> await ()
 
-let request t msg =
+(* one round trip: [frame_of id] is the request stamped with the id *)
+let exchange t frame_of accept =
   match current_fd t with
   | Error _ as e -> e
   | Ok fd -> (
       let id = fresh_id t in
-      match attempt t fd ~id msg with
+      let frame = frame_of id in
+      match attempt t fd ~id frame accept with
       | `Ok reply -> Ok reply
       | `Fatal msg -> Error msg
       | `Retry why -> (
@@ -308,13 +315,18 @@ let request t msg =
           | Error msg ->
               Error (Printf.sprintf "%s; reconnect failed: %s" why msg)
           | Ok fd -> (
-              match attempt t fd ~id msg with
+              match attempt t fd ~id frame accept with
               | `Ok reply -> Ok reply
               | `Fatal msg -> Error msg
               | `Retry msg ->
                   close t;
                   Error
                     (Printf.sprintf "%s; after reconnect: %s" why msg))))
+
+let request t msg =
+  exchange t (fun id -> Wire.encode ~id msg) (fun r -> Result.map snd (Wire.decode r))
+
+let request_frame t frame = exchange t (Wire.with_id frame) Result.ok
 
 let unexpected what got =
   Error

@@ -63,6 +63,11 @@ val request : t -> Wire.message -> (Wire.message, string) result
 (** Send one message and wait for its reply (matched by request id).
     Reconnects and resends once if the connection proves dead. *)
 
+val request_frame : t -> string -> (string, string) result
+(** {!request} for a relay: send a complete encoded frame with only its
+    request id rewritten, and return the reply frame as it arrived,
+    undecoded (only its header is checked). *)
+
 val ping : t -> (float, string) result
 (** Round-trip a {!Wire.Ping}; returns the RTT in seconds. *)
 

@@ -56,33 +56,10 @@ let serve_one fd dump =
 let accept_loop t dump =
   Fun.protect ~finally:(fun () ->
       try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  try
-    let rec loop () =
-      match Aio.accept t.listen_fd with
-      | `Conn (fd, _addr) ->
-          serve_one fd dump;
-          loop ()
-      | `Deadline -> loop ()
-      | `Error _ -> ()
-    in
-    loop ()
-  with Aio.Cancelled -> ()
+  @@ fun () -> Aio.accept_each t.listen_fd (fun fd -> serve_one fd dump)
 
 let start ?(host = "127.0.0.1") ~port loop dump =
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  (try Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.listen listen_fd 16;
-  Unix.set_nonblock listen_fd;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
+  let listen_fd, bound_port = Aio.listen ~host ~port ~backlog:16 in
   let t = { listen_fd; bound_port; loop; accept_fiber = None } in
   let spawn () =
     t.accept_fiber <- Some (Aio.spawn_on loop (fun () -> accept_loop t dump))

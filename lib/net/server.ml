@@ -276,7 +276,7 @@ let release t =
   t.inflight <- t.inflight - 1;
   M.set_gauge t.m_inflight (float_of_int t.inflight)
 
-let admit_submit t conn ~id (s : Wire.submit) =
+let admit_submit t conn ~id ?key (s : Wire.submit) =
   let got = String.length s.Wire.sub_source in
   if t.cfg.max_source_bytes > 0 && got > t.cfg.max_source_bytes then begin
     (* request hygiene: typed rejection before the source reaches a
@@ -299,7 +299,7 @@ let admit_submit t conn ~id (s : Wire.submit) =
         req_options = s.Wire.sub_options;
       }
     in
-    match Service.Server.try_submit ~trace t.svc request with
+    match Service.Server.try_submit ~trace ?key t.svc request with
     | None ->
         (* the service queue itself had no room: shed, don't block *)
         release t;
@@ -307,7 +307,8 @@ let admit_submit t conn ~id (s : Wire.submit) =
     | Some ticket ->
         (* the completion-queue bridge: the worker domain that resolves
            the ticket fulfils the promise, which posts the responder's
-           wakeup into the scheduler *)
+           wakeup into the scheduler.  A cache hit is resolved already,
+           so the promise is fulfilled here, on the loop. *)
         let outcome = Aio.promise () in
         Service.Server.on_resolve ticket (Aio.fulfil outcome);
         ignore
@@ -326,14 +327,14 @@ let cluster_change t conn ~id change =
   in
   send t conn ~id (Wire.Cluster_ack { ack_ok; ack_epoch; ack_msg })
 
-let dispatch t conn ~id msg =
+let dispatch t conn ~id ?key msg =
   match msg with
   | Wire.Ping ->
       send t conn ~id Wire.Pong;
       `Continue
   | Wire.Submit s ->
       M.incr t.m_requests;
-      admit_submit t conn ~id s;
+      admit_submit t conn ~id ?key s;
       `Continue
   | Wire.Stats_json_req ->
       send t conn ~id
@@ -398,65 +399,79 @@ let dispatch t conn ~id msg =
 (* Connection fibers                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One absolute deadline per frame, armed when its first byte arrives
+   and dropped when the frame completes: idle connections carry no
+   timer at all, and a sender trickling a header one byte a second runs
+   out of road [timeout_s] after it started. *)
+let read_frames ?(stall = ignore) ~timeout_s ~alive fd stream scratch handle =
+  let deadline = ref None in
+  let rec loop () =
+    if not (alive ()) then `Stopped
+    else begin
+      let ev = Wire.Stream.next_raw stream in
+      if not (Wire.Stream.midframe stream) then deadline := None
+      else if !deadline = None && timeout_s > 0.0 then
+        deadline := Some (Aio.now () +. timeout_s);
+      match ev with
+      | `Need_more -> (
+          stall ();
+          match
+            Aio.read ?deadline:!deadline fd scratch 0 (Bytes.length scratch)
+          with
+          | `Data n ->
+              M.incr ~by:n Wire.bytes_read;
+              Wire.Stream.feed stream scratch 0 n;
+              loop ()
+          | (`Eof | `Deadline) as over -> over)
+      | (`Frame _ | `Oversized _ | `Fail _) as ev ->
+          if handle ev then loop () else `Stopped
+    end
+  in
+  loop ()
+
 let reader t conn =
   let cap =
     if t.cfg.max_source_bytes > 0 then t.cfg.max_source_bytes + 4096
     else Wire.hard_max_payload
   in
-  let stream = Wire.Stream.create ~max_payload:cap () in
-  (* one absolute deadline per frame, armed when its first byte arrives
-     and dropped when the frame completes: idle connections carry no
-     timer at all, and a sender trickling a header one byte a second
-     runs out of road [read_timeout_s] after it started *)
-  let frame_deadline = ref None in
-  let update_deadline () =
-    if Wire.Stream.midframe stream then begin
-      if !frame_deadline = None && t.cfg.read_timeout_s > 0.0 then
-        frame_deadline := Some (Aio.now () +. t.cfg.read_timeout_s)
-    end
-    else frame_deadline := None
+  (* a frame that does not decode leaves the stream position
+     unknowable; answer typed and drop the connection *)
+  let bad_frame err =
+    M.incr t.m_bad_frames;
+    send t conn ~id:0 (Wire.Result (Wire.R_error (Wire.error_to_string err)));
+    false
   in
-  let rec loop () =
-    if conn.c_dead || Atomic.get t.draining then ()
-    else
-      match Wire.Stream.next stream with
-      | `Frame (id, msg) -> (
-          update_deadline ();
-          match dispatch t conn ~id msg with
-          | `Continue -> loop ()
-          | `Close -> ())
-      | `Oversized (id, got) ->
-          (* drained in constant memory: reject typed, keep the stream *)
-          update_deadline ();
-          M.incr t.m_requests;
-          M.incr t.m_too_large;
-          send t conn ~id (Wire.Result (Wire.R_too_large { limit = cap; got }));
-          loop ()
-      | `Fail err ->
-          (* a frame that does not decode leaves the stream position
-             unknowable; answer typed and drop the connection *)
-          M.incr t.m_bad_frames;
-          send t conn ~id:0
-            (Wire.Result (Wire.R_error (Wire.error_to_string err)))
-      | `Need_more -> (
-          update_deadline ();
-          if Fault.fire t.fault Fault.Read_stall then
-            Aio.sleep (Fault.delay_s t.fault);
-          match
-            Aio.read ?deadline:!frame_deadline conn.c_fd t.scratch 0
-              (Bytes.length t.scratch)
-          with
-          | `Data n ->
-              M.incr ~by:n Wire.bytes_read;
-              Wire.Stream.feed stream t.scratch 0 n;
-              loop ()
-          | `Eof -> ()
-          | `Deadline ->
-              (* the frame deadline expired mid-request: the old
-                 [Wire.Stalled] verdict, now an event-loop timer *)
-              kill_conn conn)
+  let handle = function
+    | `Frame frame -> (
+        (* a Submit's content address comes from its bytes, once *)
+        let key =
+          match Wire.submit_key frame with Some (Ok k) -> Some k | _ -> None
+        in
+        match Wire.decode frame with
+        | Error err -> bad_frame err
+        | Ok (id, msg) -> dispatch t conn ~id ?key msg = `Continue)
+    | `Oversized (id, got) ->
+        (* drained in constant memory: reject typed, keep the stream *)
+        M.incr t.m_requests;
+        M.incr t.m_too_large;
+        send t conn ~id (Wire.Result (Wire.R_too_large { limit = cap; got }));
+        true
+    | `Fail err -> bad_frame err
   in
-  (try loop () with _ -> ());
+  let stall () =
+    if Fault.fire t.fault Fault.Read_stall then Aio.sleep (Fault.delay_s t.fault)
+  in
+  (try
+     match
+       read_frames ~stall ~timeout_s:t.cfg.read_timeout_s
+         ~alive:(fun () -> not (conn.c_dead || Atomic.get t.draining))
+         conn.c_fd
+         (Wire.Stream.create ~max_payload:cap ())
+         t.scratch handle
+     with
+     | `Deadline -> kill_conn conn (* a stalled sender *)
+     | `Eof | `Stopped -> ()
+   with _ -> ());
   (* no more requests will be admitted: the responder finishes the
      pending replies, then the writer flushes and the last fiber out
      closes the socket *)
@@ -492,6 +507,21 @@ let responder t conn =
 (* Accept fiber                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Connection budget exhausted: one explicit Overloaded frame, then the
+   door closes — nothing queues.  A small fiber writes the verdict so a
+   slow receiver cannot stall the accept loop. *)
+let refuse fd =
+  Unix.set_nonblock fd;
+  ignore
+    (Aio.spawn (fun () ->
+         let b =
+           Bytes.unsafe_of_string
+             (Wire.encode ~id:0 (Wire.Result Wire.R_overloaded))
+         in
+         ignore
+           (Aio.write_all ~deadline:(Aio.now () +. 5.0) fd b 0 (Bytes.length b));
+         try Unix.close fd with Unix.Unix_error _ -> ()))
+
 let handle_accept t fd =
   if Atomic.get t.stop then (
     try Unix.close fd with Unix.Unix_error _ -> ())
@@ -500,20 +530,8 @@ let handle_accept t fd =
     if Fault.fire t.fault Fault.Accept_drop then (
       try Unix.close fd with Unix.Unix_error _ -> ())
     else if List.length t.conns >= t.cfg.max_conns then begin
-      (* connection budget exhausted: one explicit Overloaded frame,
-         then the door closes — nothing queues.  A small fiber writes
-         the verdict so a slow receiver cannot stall the accept loop. *)
       M.incr t.m_shed;
-      Unix.set_nonblock fd;
-      ignore
-        (Aio.spawn (fun () ->
-             let s = Wire.encode ~id:0 (Wire.Result Wire.R_overloaded) in
-             let b = Bytes.unsafe_of_string s in
-             ignore
-               (Aio.write_all
-                  ~deadline:(Aio.now () +. 5.0)
-                  fd b 0 (Bytes.length b));
-             try Unix.close fd with Unix.Unix_error _ -> ()))
+      refuse fd
     end
     else begin
       Unix.set_nonblock fd;
@@ -536,20 +554,11 @@ let handle_accept t fd =
     end
   end
 
+(* every way out of the accept loop — stop, an accept error,
+   cancellation — stops the server *)
 let accept_loop t =
-  try
-    let rec loop () =
-      if Atomic.get t.stop then ()
-      else
-        match Aio.accept t.listen_fd with
-        | `Conn (fd, _addr) ->
-            handle_accept t fd;
-            loop ()
-        | `Deadline -> loop ()
-        | `Error _ -> Atomic.set t.stop true
-    in
-    loop ()
-  with Aio.Cancelled -> ()
+  Aio.accept_each ~stop:t.stop t.listen_fd (handle_accept t);
+  Atomic.set t.stop true
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -559,19 +568,8 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
   (* a peer that disappears mid-write must surface as EPIPE, not kill
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port) in
-  (try Unix.bind listen_fd addr
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.listen listen_fd 256;
-  Unix.set_nonblock listen_fd;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> cfg.port
+  let listen_fd, bound_port =
+    Aio.listen ~host:cfg.host ~port:cfg.port ~backlog:256
   in
   let reg = Service.Server.metrics svc in
   let counter name help = M.counter reg ~help name in

@@ -102,6 +102,27 @@ val drain : t -> unit
     loop's last fiber to finish and its thread to exit.  Idempotent.
     The caller then runs {!Service.Server.shutdown} to flush stats. *)
 
+(** {2 Pieces shared with other fiber front-ends} *)
+
+val read_frames :
+  ?stall:(unit -> unit) ->
+  timeout_s:float ->
+  alive:(unit -> bool) ->
+  Unix.file_descr ->
+  Wire.Stream.t ->
+  Bytes.t ->
+  ([ `Frame of string | `Oversized of int * int | `Fail of Wire.error ] -> bool) ->
+  [ `Eof | `Deadline | `Stopped ]
+(** Fiber context: feed raw frames ({!Wire.Stream.next_raw}) off a
+    non-blocking connection to the handler until it answers [false] or
+    [alive ()] turns false ([`Stopped]), or the peer closes.  A frame
+    must arrive within [timeout_s] of its first byte ([`Deadline]).
+    [stall] runs before each read (chaos). *)
+
+val refuse : Unix.file_descr -> unit
+(** Fiber context: answer a connection over budget with one
+    [R_overloaded] frame on id 0 from a short fiber, then close it. *)
+
 val connections_seen : t -> int
 val inflight_high_water : t -> int
 (** Most submits ever outstanding at once — proves the in-flight budget

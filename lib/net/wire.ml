@@ -6,7 +6,7 @@
    frame must never raise out of [decode] or [Stream.next]. *)
 
 let magic = "CDRN"
-let version = 5
+let version = 6
 let header_bytes = 20
 let hard_max_payload = 1 lsl 26 (* 64 MiB *)
 
@@ -98,43 +98,27 @@ type message =
   | Members_json_req
   | Members_json of string
 
-let kind_code = function
-  | Ping -> 1
-  | Pong -> 2
-  | Submit _ -> 3
-  | Result _ -> 4
-  | Shutdown_req -> 9
-  | Shutdown_ack -> 10
-  | Cache_push _ -> 11
-  | Cache_ack _ -> 12
-  | Stats_json_req -> 13
-  | Stats_json _ -> 14
-  | Metrics_json_req -> 15
-  | Metrics_json _ -> 16
-  | Cluster_add _ -> 19
-  | Cluster_remove _ -> 20
-  | Cluster_ack _ -> 21
-  | Members_json_req -> 22
-  | Members_json _ -> 23
+(* each kind's code on the wire and its name *)
+let kind = function
+  | Ping -> (1, "ping")
+  | Pong -> (2, "pong")
+  | Submit _ -> (3, "submit")
+  | Result _ -> (4, "result")
+  | Shutdown_req -> (9, "shutdown-req")
+  | Shutdown_ack -> (10, "shutdown-ack")
+  | Cache_push _ -> (11, "cache-push")
+  | Cache_ack _ -> (12, "cache-ack")
+  | Stats_json_req -> (13, "stats-json-req")
+  | Stats_json _ -> (14, "stats-json")
+  | Metrics_json_req -> (15, "metrics-json-req")
+  | Metrics_json _ -> (16, "metrics-json")
+  | Cluster_add _ -> (19, "cluster-add")
+  | Cluster_remove _ -> (20, "cluster-remove")
+  | Cluster_ack _ -> (21, "cluster-ack")
+  | Members_json_req -> (22, "members-json-req")
+  | Members_json _ -> (23, "members-json")
 
-let message_kind_name = function
-  | Ping -> "ping"
-  | Pong -> "pong"
-  | Submit _ -> "submit"
-  | Result _ -> "result"
-  | Shutdown_req -> "shutdown-req"
-  | Shutdown_ack -> "shutdown-ack"
-  | Cache_push _ -> "cache-push"
-  | Cache_ack _ -> "cache-ack"
-  | Stats_json_req -> "stats-json-req"
-  | Stats_json _ -> "stats-json"
-  | Metrics_json_req -> "metrics-json-req"
-  | Metrics_json _ -> "metrics-json"
-  | Cluster_add _ -> "cluster-add"
-  | Cluster_remove _ -> "cluster-remove"
-  | Cluster_ack _ -> "cluster-ack"
-  | Members_json_req -> "members-json-req"
-  | Members_json _ -> "members-json"
+let message_kind_name msg = snd (kind msg)
 
 (* conversions between the wire [note] and the driver's loop report,
    shared by every front-end that carries reports across the wire *)
@@ -166,109 +150,9 @@ let report_of_note (n : note) : Restructurer.Driver.loop_report =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
-let put_bool b v = put_u8 b (if v then 1 else 0)
-let put_int b v = Buffer.add_int64_be b (Int64.of_int v)
-let put_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-let put_string b s =
-  Buffer.add_int32_be b (Int32.of_int (String.length s));
-  Buffer.add_string b s
-
-let put_opt_f64 b = function
-  | None -> put_u8 b 0
-  | Some v ->
-      put_u8 b 1;
-      put_f64 b v
-
-(* A record's wire layout as one table: each field's wire type, getter
-   and functional setter, in wire order.  The encoder and the decoder
-   walk the same table, so the two directions cannot drift apart. *)
-type 'r field =
-  | B of ('r -> bool) * ('r -> bool -> 'r)
-  | I of ('r -> int) * ('r -> int -> 'r)
-  | F of ('r -> float) * ('r -> float -> 'r)
-  | S of ('r -> string) * ('r -> string -> 'r)
-
-let put_fields b fields r =
-  List.iter
-    (function
-      | B (get, _) -> put_bool b (get r)
-      | I (get, _) -> put_int b (get r)
-      | F (get, _) -> put_f64 b (get r)
-      | S (get, _) -> put_string b (get r))
-    fields
-
-(* the 18 technique flags, in declaration order of Options.techniques *)
-let technique_fields : Restructurer.Options.techniques field list =
-  [
-    B ((fun t -> t.scalar_privatization), fun t v -> { t with scalar_privatization = v });
-    B ((fun t -> t.scalar_expansion), fun t v -> { t with scalar_expansion = v });
-    B ((fun t -> t.simple_induction), fun t v -> { t with simple_induction = v });
-    B ((fun t -> t.simple_reduction), fun t v -> { t with simple_reduction = v });
-    B ((fun t -> t.doacross), fun t v -> { t with doacross = v });
-    B ((fun t -> t.stripmining), fun t v -> { t with stripmining = v });
-    B ((fun t -> t.if_to_where), fun t v -> { t with if_to_where = v });
-    B ((fun t -> t.inline_expansion), fun t v -> { t with inline_expansion = v });
-    B ((fun t -> t.loop_interchange), fun t v -> { t with loop_interchange = v });
-    B ((fun t -> t.recurrence_substitution), fun t v -> { t with recurrence_substitution = v });
-    B ((fun t -> t.array_privatization), fun t v -> { t with array_privatization = v });
-    B ((fun t -> t.generalized_reduction), fun t v -> { t with generalized_reduction = v });
-    B ((fun t -> t.giv_substitution), fun t v -> { t with giv_substitution = v });
-    B ((fun t -> t.runtime_dep_test), fun t v -> { t with runtime_dep_test = v });
-    B ((fun t -> t.critical_sections), fun t v -> { t with critical_sections = v });
-    B ((fun t -> t.interprocedural), fun t v -> { t with interprocedural = v });
-    B ((fun t -> t.loop_fusion), fun t v -> { t with loop_fusion = v });
-    B ((fun t -> t.loop_distribution), fun t v -> { t with loop_distribution = v });
-  ]
-
-let machine_fields : Machine.Config.t field list =
-  [
-    S ((fun m -> m.name), fun m v -> { m with name = v });
-    I ((fun m -> m.clusters), fun m v -> { m with clusters = v });
-    I ((fun m -> m.ces_per_cluster), fun m v -> { m with ces_per_cluster = v });
-    F ((fun m -> m.cache_hit), fun m v -> { m with cache_hit = v });
-    F ((fun m -> m.cluster_scalar), fun m v -> { m with cluster_scalar = v });
-    F ((fun m -> m.global_scalar), fun m v -> { m with global_scalar = v });
-    F ((fun m -> m.cluster_vector), fun m v -> { m with cluster_vector = v });
-    F ((fun m -> m.global_vector), fun m v -> { m with global_vector = v });
-    F ((fun m -> m.global_vector_prefetched), fun m v -> { m with global_vector_prefetched = v });
-    F ((fun m -> m.vector_startup), fun m v -> { m with vector_startup = v });
-    I ((fun m -> m.prefetch_depth), fun m v -> { m with prefetch_depth = v });
-    B ((fun m -> m.prefetch), fun m v -> { m with prefetch = v });
-    I ((fun m -> m.cache_bytes), fun m v -> { m with cache_bytes = v });
-    F ((fun m -> m.cdo_startup), fun m v -> { m with cdo_startup = v });
-    F ((fun m -> m.cdo_dispatch), fun m v -> { m with cdo_dispatch = v });
-    F ((fun m -> m.sdo_startup), fun m v -> { m with sdo_startup = v });
-    F ((fun m -> m.sdo_dispatch), fun m v -> { m with sdo_dispatch = v });
-    F ((fun m -> m.await_cost), fun m v -> { m with await_cost = v });
-    F ((fun m -> m.lock_cost), fun m v -> { m with lock_cost = v });
-    F ((fun m -> m.task_start_ctsk), fun m v -> { m with task_start_ctsk = v });
-    F ((fun m -> m.task_start_mtsk), fun m v -> { m with task_start_mtsk = v });
-    F ((fun m -> m.scalar_op), fun m v -> { m with scalar_op = v });
-    F ((fun m -> m.vector_op), fun m v -> { m with vector_op = v });
-    F ((fun m -> m.intrinsic_op), fun m v -> { m with intrinsic_op = v });
-    I ((fun m -> m.cluster_mem_bytes), fun m v -> { m with cluster_mem_bytes = v });
-    I ((fun m -> m.global_mem_bytes), fun m v -> { m with global_mem_bytes = v });
-    I ((fun m -> m.page_bytes), fun m v -> { m with page_bytes = v });
-    F ((fun m -> m.page_fault_cycles), fun m v -> { m with page_fault_cycles = v });
-    F ((fun m -> m.global_bw), fun m v -> { m with global_bw = v });
-    F ((fun m -> m.cluster_bw), fun m v -> { m with cluster_bw = v });
-  ]
-
-let put_options b (o : Restructurer.Options.t) =
-  put_fields b technique_fields o.techniques;
-  put_fields b machine_fields o.machine;
-  put_int b o.max_versions;
-  put_int b o.strip;
-  put_int b o.inline_limits.Transform.Inline.max_depth;
-  put_int b o.inline_limits.Transform.Inline.max_stmts;
-  put_u8 b
-    (match o.placement_default with
-    | Transform.Globalize.Default_global -> 0
-    | Transform.Globalize.Default_cluster -> 1);
-  put_int b o.assumed_trip;
-  put_bool b o.validate
+(* the byte primitives and the request content (source, options,
+   target) are the codec's, shared with the service's cache key *)
+module C = Restructurer.Codec
 
 let rung_code = function
   | Service.Server.Full -> 0
@@ -276,276 +160,176 @@ let rung_code = function
   | Service.Server.Passthrough -> 2
 
 let put_note b n =
-  put_string b n.n_unit;
-  put_string b n.n_index;
-  put_int b n.n_depth;
-  put_string b n.n_decision;
-  put_int b (List.length n.n_techniques);
-  List.iter (put_string b) n.n_techniques
+  C.put_string b n.n_unit;
+  C.put_string b n.n_index;
+  C.put_int b n.n_depth;
+  C.put_string b n.n_decision;
+  C.put_int b (List.length n.n_techniques);
+  List.iter (C.put_string b) n.n_techniques
 
 let put_reply b = function
   | R_done d ->
-      put_u8 b 0;
-      put_bool b d.r_cached;
-      put_u8 b (rung_code d.r_rung);
-      put_string b d.r_text;
-      put_opt_f64 b d.r_cycles;
-      put_opt_f64 b d.r_global_words;
-      put_int b (List.length d.r_notes);
+      C.put_u8 b 0;
+      C.put_bool b d.r_cached;
+      C.put_u8 b (rung_code d.r_rung);
+      C.put_string b d.r_text;
+      C.put_opt_f64 b d.r_cycles;
+      C.put_opt_f64 b d.r_global_words;
+      C.put_int b (List.length d.r_notes);
       List.iter (put_note b) d.r_notes;
-      put_int b d.r_trace
+      C.put_int b d.r_trace
   | R_failed msg ->
-      put_u8 b 1;
-      put_string b msg
-  | R_timeout -> put_u8 b 2
-  | R_cancelled -> put_u8 b 3
-  | R_overloaded -> put_u8 b 4
+      C.put_u8 b 1;
+      C.put_string b msg
+  | R_timeout -> C.put_u8 b 2
+  | R_cancelled -> C.put_u8 b 3
+  | R_overloaded -> C.put_u8 b 4
   | R_too_large { limit; got } ->
-      put_u8 b 5;
-      put_int b limit;
-      put_int b got
+      C.put_u8 b 5;
+      C.put_int b limit;
+      C.put_int b got
   | R_error msg ->
-      put_u8 b 6;
-      put_string b msg
+      C.put_u8 b 6;
+      C.put_string b msg
 
-let payload_of = function
+let put_payload b = function
   | Ping | Pong | Shutdown_req | Shutdown_ack | Stats_json_req
   | Metrics_json_req | Members_json_req ->
-      ""
-  | Stats_json s | Metrics_json s | Members_json s -> s
+      ()
+  | Stats_json s | Metrics_json s | Members_json s -> Buffer.add_string b s
   | Submit s ->
-      let b = Buffer.create (String.length s.sub_source + 256) in
-      put_string b s.sub_name;
-      put_string b s.sub_source;
-      put_options b s.sub_options;
-      put_int b s.sub_trace;
-      put_u8 b (Codegen.Target.code s.sub_options.Restructurer.Options.target);
-      Buffer.contents b
-  | Result r ->
-      let b = Buffer.create 256 in
-      put_reply b r;
-      Buffer.contents b
+      (* name and trace first: the keyed content is the payload's tail *)
+      C.put_string b s.sub_name;
+      C.put_int b s.sub_trace;
+      C.put_content b ~source:s.sub_source s.sub_options
+  | Result r -> put_reply b r
   | Cache_push p ->
-      let b = Buffer.create (String.length p.cp_text + 256) in
-      put_string b p.cp_key;
-      put_string b p.cp_digest;
-      put_string b p.cp_name;
-      put_string b p.cp_text;
-      put_opt_f64 b p.cp_cycles;
-      put_opt_f64 b p.cp_global_words;
-      put_int b (List.length p.cp_notes);
-      List.iter (put_note b) p.cp_notes;
-      Buffer.contents b
-  | Cache_ack admitted ->
-      let b = Buffer.create 1 in
-      put_bool b admitted;
-      Buffer.contents b
+      C.put_string b p.cp_key;
+      C.put_string b p.cp_digest;
+      C.put_string b p.cp_name;
+      C.put_string b p.cp_text;
+      C.put_opt_f64 b p.cp_cycles;
+      C.put_opt_f64 b p.cp_global_words;
+      C.put_int b (List.length p.cp_notes);
+      List.iter (put_note b) p.cp_notes
+  | Cache_ack admitted -> C.put_bool b admitted
   | Cluster_add a ->
-      let b = Buffer.create 64 in
-      put_string b a.ca_id;
-      put_string b a.ca_host;
-      put_int b a.ca_port;
-      Buffer.contents b
-  | Cluster_remove id ->
-      let b = Buffer.create 32 in
-      put_string b id;
-      Buffer.contents b
+      C.put_string b a.ca_id;
+      C.put_string b a.ca_host;
+      C.put_int b a.ca_port
+  | Cluster_remove id -> C.put_string b id
   | Cluster_ack a ->
-      let b = Buffer.create 32 in
-      put_bool b a.ack_ok;
-      put_int b a.ack_epoch;
-      put_string b a.ack_msg;
-      Buffer.contents b
+      C.put_bool b a.ack_ok;
+      C.put_int b a.ack_epoch;
+      C.put_string b a.ack_msg
 
+(* room for the payload's bulk, so the buffer rarely regrows *)
+let size_hint = function
+  | Submit s -> String.length s.sub_source + 512
+  | Result (R_done d) -> String.length d.r_text + 256
+  | Cache_push p -> String.length p.cp_text + 256
+  | Stats_json s | Metrics_json s | Members_json s -> String.length s
+  | _ -> 64
+
+let set_header f ~kind ~id ~len =
+  Bytes.blit_string magic 0 f 0 4;
+  Bytes.set_uint8 f 4 version;
+  Bytes.set_uint8 f 5 kind;
+  Bytes.set_uint16_be f 6 0;
+  Bytes.set_int64_be f 8 (Int64.of_int id);
+  Bytes.set_int32_be f 16 (Int32.of_int len)
+
+(* the payload is written behind a placeholder header, which is filled
+   in once the length is known *)
 let encode ~id msg =
-  let payload = payload_of msg in
-  let b = Buffer.create (header_bytes + String.length payload) in
-  Buffer.add_string b magic;
-  put_u8 b version;
-  put_u8 b (kind_code msg);
-  Buffer.add_uint16_be b 0;
-  Buffer.add_int64_be b (Int64.of_int id);
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Buffer.create (header_bytes + size_hint msg) in
+  Buffer.add_string b (String.make header_bytes '\000');
+  put_payload b msg;
+  let f = Buffer.to_bytes b in
+  set_header f ~kind:(fst (kind msg)) ~id ~len:(Bytes.length f - header_bytes);
+  Bytes.unsafe_to_string f
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Payload reads raise the codec's [Truncated] / [Malformed]; [Err]
+   carries the frame-level errors.  [guard] turns all three into the
+   typed [error]. *)
 exception Err of error
 
-(* The cursor reads straight out of a caller-owned byte window, so the
-   incremental decoder parses payloads in place from the connection
-   buffer — the payload as a whole is never copied; only the field
-   strings a message actually carries are extracted.  The cursor never
-   writes to [src]. *)
-type cursor = { src : Bytes.t; mutable pos : int; limit : int }
-
-let need c n =
-  if n < 0 || c.pos + n > c.limit then raise (Err Truncated)
-
-let get_u8 c =
-  need c 1;
-  let v = Char.code (Bytes.get c.src c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let get_bool c =
-  match get_u8 c with
-  | 0 -> false
-  | 1 -> true
-  | v -> raise (Err (Malformed (Printf.sprintf "bool byte %d" v)))
-
-let get_int c =
-  need c 8;
-  let v = Int64.to_int (Bytes.get_int64_be c.src c.pos) in
-  c.pos <- c.pos + 8;
-  v
-
-let get_f64 c =
-  need c 8;
-  let v = Int64.float_of_bits (Bytes.get_int64_be c.src c.pos) in
-  c.pos <- c.pos + 8;
-  v
-
-let get_string c =
-  need c 4;
-  let n = Int32.to_int (Bytes.get_int32_be c.src c.pos) in
-  c.pos <- c.pos + 4;
-  if n < 0 then raise (Err (Malformed "negative string length"));
-  need c n;
-  let s = Bytes.sub_string c.src c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_opt_f64 c =
-  match get_u8 c with
-  | 0 -> None
-  | 1 -> Some (get_f64 c)
-  | v -> raise (Err (Malformed (Printf.sprintf "option byte %d" v)))
-
-let get_count c what =
-  let n = get_int c in
-  (* each element consumes at least one byte; anything bigger than the
-     remaining payload is a lie, not a huge list *)
-  if n < 0 || n > c.limit - c.pos then
-    raise (Err (Malformed (Printf.sprintf "implausible %s count %d" what n)));
-  n
-
-let get_fields c fields base =
-  List.fold_left
-    (fun r -> function
-      | B (_, set) -> set r (get_bool c)
-      | I (_, set) -> set r (get_int c)
-      | F (_, set) -> set r (get_f64 c)
-      | S (_, set) -> set r (get_string c))
-    base fields
-
-let get_options c : Restructurer.Options.t =
-  let techniques =
-    get_fields c technique_fields Restructurer.Options.base_techniques
-  in
-  let machine = get_fields c machine_fields Machine.Config.cedar_config1 in
-  let max_versions = get_int c in
-  let strip = get_int c in
-  let max_depth = get_int c in
-  let max_stmts = get_int c in
-  let placement_default =
-    match get_u8 c with
-    | 0 -> Transform.Globalize.Default_global
-    | 1 -> Transform.Globalize.Default_cluster
-    | v -> raise (Err (Malformed (Printf.sprintf "placement byte %d" v)))
-  in
-  let assumed_trip = get_int c in
-  let validate = get_bool c in
-  {
-    Restructurer.Options.techniques;
-    machine;
-    max_versions;
-    strip;
-    inline_limits = { Transform.Inline.max_depth; max_stmts };
-    placement_default;
-    assumed_trip;
-    validate;
-    (* the target byte closes the Submit payload; [get_submit] sets it *)
-    target = Codegen.Target.Cedar;
-  }
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Err e -> Error e
+  | exception C.Truncated -> Error Truncated
+  | exception C.Malformed what -> Error (Malformed what)
 
 let get_note c =
-  let n_unit = get_string c in
-  let n_index = get_string c in
-  let n_depth = get_int c in
-  let n_decision = get_string c in
-  let k = get_count c "technique" in
-  let n_techniques = List.init k (fun _ -> get_string c) in
+  let n_unit = C.get_string c in
+  let n_index = C.get_string c in
+  let n_depth = C.get_int c in
+  let n_decision = C.get_string c in
+  let k = C.get_count c "technique" in
+  let n_techniques = List.init k (fun _ -> C.get_string c) in
   { n_unit; n_index; n_depth; n_decision; n_techniques }
 
 let get_reply c =
-  match get_u8 c with
+  match C.get_u8 c with
   | 0 ->
-      let r_cached = get_bool c in
+      let r_cached = C.get_bool c in
       let r_rung =
-        match get_u8 c with
+        match C.get_u8 c with
         | 0 -> Service.Server.Full
         | 1 -> Service.Server.Conservative
         | 2 -> Service.Server.Passthrough
         | v -> raise (Err (Malformed (Printf.sprintf "rung byte %d" v)))
       in
-      let r_text = get_string c in
-      let r_cycles = get_opt_f64 c in
-      let r_global_words = get_opt_f64 c in
-      let k = get_count c "note" in
+      let r_text = C.get_string c in
+      let r_cycles = C.get_opt_f64 c in
+      let r_global_words = C.get_opt_f64 c in
+      let k = C.get_count c "note" in
       let r_notes = List.init k (fun _ -> get_note c) in
-      let r_trace = get_int c in
+      let r_trace = C.get_int c in
       R_done
         { r_cached; r_rung; r_text; r_cycles; r_global_words; r_notes; r_trace }
-  | 1 -> R_failed (get_string c)
+  | 1 -> R_failed (C.get_string c)
   | 2 -> R_timeout
   | 3 -> R_cancelled
   | 4 -> R_overloaded
   | 5 ->
-      let limit = get_int c in
-      let got = get_int c in
+      let limit = C.get_int c in
+      let got = C.get_int c in
       R_too_large { limit; got }
-  | 6 -> R_error (get_string c)
+  | 6 -> R_error (C.get_string c)
   | v -> raise (Err (Malformed (Printf.sprintf "reply tag %d" v)))
 
 let get_submit c =
-  let sub_name = get_string c in
-  let sub_source = get_string c in
-  let sub_options = get_options c in
-  let sub_trace = get_int c in
-  let target =
-    match Codegen.Target.of_code (get_u8 c) with
-    | Some t -> t
-    | None -> raise (Err (Malformed "unknown codegen target"))
-  in
-  {
-    sub_name;
-    sub_source;
-    sub_options = { sub_options with Restructurer.Options.target };
-    sub_trace;
-  }
+  let sub_name = C.get_string c in
+  let sub_trace = C.get_int c in
+  let sub_source, sub_options = C.get_content c in
+  { sub_name; sub_source; sub_options; sub_trace }
 
 let get_cache_push c =
-  let cp_key = get_string c in
-  let cp_digest = get_string c in
-  let cp_name = get_string c in
-  let cp_text = get_string c in
-  let cp_cycles = get_opt_f64 c in
-  let cp_global_words = get_opt_f64 c in
-  let k = get_count c "note" in
+  let cp_key = C.get_string c in
+  let cp_digest = C.get_string c in
+  let cp_name = C.get_string c in
+  let cp_text = C.get_string c in
+  let cp_cycles = C.get_opt_f64 c in
+  let cp_global_words = C.get_opt_f64 c in
+  let k = C.get_count c "note" in
   let cp_notes = List.init k (fun _ -> get_note c) in
   { cp_key; cp_digest; cp_name; cp_text; cp_cycles; cp_global_words; cp_notes }
 
-(* decode a payload in place from the window [pos, pos + len) of [src]:
-   the zero-copy entry point shared by the incremental stream decoder
-   (which hands its connection buffer straight in) and [decode].  The
-   window is only read, never aliased past the call — every string
-   that survives is a fresh extraction. *)
-let decode_payload_at kind src ~pos ~len =
-  let c = { src; pos; limit = pos + len } in
+(* decode the payload of the complete frame [s], whose header checked:
+   the frame is only read — every string that survives is a fresh
+   extraction *)
+let decode_payload kind s =
+  let len = String.length s - header_bytes in
+  let c =
+    { C.src = Bytes.unsafe_of_string s; pos = header_bytes;
+      limit = String.length s }
+  in
   let empty msg =
     if len <> 0 then raise (Err (Malformed "nonempty payload"));
     msg
@@ -553,7 +337,7 @@ let decode_payload_at kind src ~pos ~len =
   (* the whole payload is the message text *)
   let text () =
     c.pos <- c.limit;
-    Bytes.sub_string src pos len
+    String.sub s header_bytes len
   in
   let msg =
     match kind with
@@ -564,21 +348,21 @@ let decode_payload_at kind src ~pos ~len =
     | 9 -> empty Shutdown_req
     | 10 -> empty Shutdown_ack
     | 11 -> Cache_push (get_cache_push c)
-    | 12 -> Cache_ack (get_bool c)
+    | 12 -> Cache_ack (C.get_bool c)
     | 13 -> empty Stats_json_req
     | 14 -> Stats_json (text ())
     | 15 -> empty Metrics_json_req
     | 16 -> Metrics_json (text ())
     | 19 ->
-        let ca_id = get_string c in
-        let ca_host = get_string c in
-        let ca_port = get_int c in
+        let ca_id = C.get_string c in
+        let ca_host = C.get_string c in
+        let ca_port = C.get_int c in
         Cluster_add { ca_id; ca_host; ca_port }
-    | 20 -> Cluster_remove (get_string c)
+    | 20 -> Cluster_remove (C.get_string c)
     | 21 ->
-        let ack_ok = get_bool c in
-        let ack_epoch = get_int c in
-        let ack_msg = get_string c in
+        let ack_ok = C.get_bool c in
+        let ack_epoch = C.get_int c in
+        let ack_msg = C.get_string c in
         Cluster_ack { ack_ok; ack_epoch; ack_msg }
     | 22 -> empty Members_json_req
     | 23 -> Members_json (text ())
@@ -608,26 +392,62 @@ let decode_header_at src ~pos ~len =
       if plen < 0 || plen > hard_max_payload then Error (Length_overflow plen)
       else Ok { h_kind = kind; h_id = id; h_len = plen }
 
-(* [Bytes.unsafe_of_string] below is sound: the cursor and the header
-   reader only ever read from [src] *)
-let decode_header s =
-  decode_header_at (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+(* a complete frame's header, checked against the frame's length.
+   [Bytes.unsafe_of_string] here and below is sound: the cursor and the
+   header reader only ever read from [src] *)
+let frame_header s =
+  let n = String.length s in
+  match decode_header_at (Bytes.unsafe_of_string s) ~pos:0 ~len:n with
+  | Error _ as e -> e
+  | Ok h ->
+      if n < header_bytes + h.h_len then Error Truncated
+      else if n > header_bytes + h.h_len then
+        Error (Malformed "trailing bytes after frame")
+      else Ok h
 
 let decode s =
-  match decode_header s with
-  | Error e -> Error e
-  | Ok h ->
-      if String.length s < header_bytes + h.h_len then Error Truncated
-      else if String.length s > header_bytes + h.h_len then
-        Error (Malformed "trailing bytes after frame")
-      else begin
-        match
-          decode_payload_at h.h_kind (Bytes.unsafe_of_string s)
-            ~pos:header_bytes ~len:h.h_len
-        with
-        | msg -> Ok (h.h_id, msg)
-        | exception Err e -> Error e
-      end
+  Result.bind (frame_header s) (fun h ->
+      guard (fun () -> (h.h_id, decode_payload h.h_kind s)))
+
+(* ------------------------------------------------------------------ *)
+(* Raw frames                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let frame_id s = Int64.to_int (String.get_int64_be s 8)
+
+let with_id s id =
+  let f = Bytes.of_string s in
+  Bytes.set_int64_be f 8 (Int64.of_int id);
+  Bytes.unsafe_to_string f
+
+(* The same checks, in the same order, as [decode] of a Submit — the
+   codec's skip walks the tables its decoder walks — so a frame passes
+   here exactly when it decodes, with the same error otherwise. *)
+let submit_key s =
+  match frame_header s with
+  | Ok h when h.h_kind <> 3 (* Submit *) -> None
+  | header ->
+      Some
+        (Result.bind header (fun _ ->
+             guard (fun () ->
+                 let c =
+                   { C.src = Bytes.unsafe_of_string s; pos = header_bytes;
+                     limit = String.length s }
+                 in
+                 ignore (C.get_string c);
+                 ignore (C.get_int c);
+                 let start = c.pos in
+                 C.skip_content c;
+                 if c.pos <> c.limit then
+                   raise (Err (Malformed "trailing payload bytes"));
+                 Digest.to_hex (Digest.substring s start (c.limit - start)))))
+
+let peek_reply s =
+  match frame_header s with
+  | Ok { h_kind = 4 (* Result *); h_len; _ } when h_len > 0 ->
+      (* tag 4 is R_overloaded, as [put_reply] writes it *)
+      Some (if s.[header_bytes] = '\004' then `Overloaded else `Other)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Stream IO                                                           *)
@@ -709,16 +529,13 @@ module Stream = struct
     st.st_len <- st.st_len - n;
     if st.st_len = 0 then st.st_pos <- 0
 
-  (* headers and payloads decode in place at the window offset — the
-     warm path never materializes a payload-sized copy; only the field
-     strings the message carries are extracted *)
-  let rec next st =
+  let rec next_raw st =
     match st.st_state with
     | S_fail e -> `Fail e
     | S_drain d ->
-        let take = min st.st_len d.d_left in
-        consume st take;
-        d.d_left <- d.d_left - take;
+        let n = min st.st_len d.d_left in
+        consume st n;
+        d.d_left <- d.d_left - n;
         if d.d_left = 0 then begin
           st.st_state <- S_header;
           `Oversized (d.d_id, d.d_len)
@@ -733,30 +550,33 @@ module Stream = struct
               `Fail e
           | Ok h ->
               consume st header_bytes;
-              if h.h_len > st.st_max then begin
-                st.st_state <-
-                  S_drain { d_id = h.h_id; d_len = h.h_len; d_left = h.h_len };
-                next st
-              end
-              else begin
-                st.st_state <- S_payload h;
-                next st
-              end
+              st.st_state <-
+                (if h.h_len > st.st_max then
+                   S_drain { d_id = h.h_id; d_len = h.h_len; d_left = h.h_len }
+                 else S_payload h);
+              next_raw st
         end
     | S_payload h ->
         if st.st_len < h.h_len then `Need_more
         else begin
-          match
-            decode_payload_at h.h_kind st.st_data ~pos:st.st_pos ~len:h.h_len
-          with
-          | msg ->
-              consume st h.h_len;
-              st.st_state <- S_header;
-              `Frame (h.h_id, msg)
-          | exception Err e ->
-              st.st_state <- S_fail e;
-              `Fail e
+          let f = Bytes.create (header_bytes + h.h_len) in
+          set_header f ~kind:h.h_kind ~id:h.h_id ~len:h.h_len;
+          Bytes.blit st.st_data st.st_pos f header_bytes h.h_len;
+          consume st h.h_len;
+          st.st_state <- S_header;
+          `Frame (Bytes.unsafe_to_string f)
         end
+
+  (* a payload that does not decode fails the stream, as a header does *)
+  let next st =
+    match next_raw st with
+    | `Frame f -> (
+        match decode f with
+        | Ok m -> `Frame m
+        | Error e ->
+            st.st_state <- S_fail e;
+            `Fail e)
+    | (`Oversized _ | `Need_more | `Fail _) as v -> v
 
   (* at least one byte of an incomplete frame is pending: the peer
      started a request and has not finished it.  This is the predicate

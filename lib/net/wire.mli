@@ -15,16 +15,18 @@
 
     Request ids are chosen by the requester and echoed verbatim on the
     reply, so a pipelined connection can match responses to requests.
-    All multi-byte integers are big-endian; OCaml ints ride as 8-byte
-    two's-complement fields, floats as IEEE-754 bits, strings as a
-    4-byte length followed by the bytes.
+    Fields are written with {!Restructurer.Codec}'s primitives.  The
+    decoder is total: any byte string either decodes to a frame or to a
+    typed {!error} — it never raises.
 
-    The decoder is total: any byte string either decodes to a frame or
-    to a typed {!error} — it never raises.  A {!Submit} carries the full
-    {!Restructurer.Options.t} (technique set, machine configuration,
-    limits) field by field, so a restructure requested over the wire is
-    byte-identical to one run in process; its payload ends with the
-    codegen target byte ({!Codegen.Target.code}).
+    A {!Submit} payload is [name | trace id | source | options | target]:
+    its tail from the source on is the request's content as
+    {!Restructurer.Codec.put_content} writes it — the full
+    {!Restructurer.Options.t}, so a restructure requested over the wire
+    is byte-identical to one run in process, closed by the target byte
+    ({!Codegen.Target.code}).  The MD5 of that one range is the
+    request's content address: {!submit_key} of [encode (Submit s)] is
+    {!Service.Server.cache_key} of the same request.
 
     Every peer is built from this source tree, so there is one protocol
     version: each frame is stamped {!version}, and a frame stamped with
@@ -37,7 +39,7 @@ val magic : string
 (** ["CDRN"], the 4 frame magic bytes. *)
 
 val version : int
-(** The protocol version stamped on, and required of, every frame (5). *)
+(** The protocol version stamped on, and required of, every frame (6). *)
 
 val header_bytes : int
 (** Fixed header size: 20. *)
@@ -162,6 +164,26 @@ val decode : string -> (int * message, error) result
     never raises.  Trailing bytes beyond the announced payload length
     are a {!Malformed} error. *)
 
+(** {2 Raw frames}, as a relay forwards them: read by {!Stream.next_raw},
+    routed on {!submit_key}, only the request id rewritten. *)
+
+val frame_id : string -> int
+
+val with_id : string -> int -> string
+(** A copy of a complete frame with its request id replaced. *)
+
+val submit_key : string -> (string, error) result option
+(** The content address of a complete Submit frame: the MD5 hex of the
+    payload range after the trace id.  The payload is checked
+    structurally first — the checks {!decode} makes, in its order,
+    building nothing — so this is [Some (Ok _)] exactly when [decode]
+    succeeds, and otherwise carries the same error.  [None] for a
+    well-formed header of any other kind. *)
+
+val peek_reply : string -> [ `Overloaded | `Other ] option
+(** For a complete Result frame, whether it is an [R_overloaded], read
+    from the tag byte alone; [None] for any other frame. *)
+
 (* ------------------------------------------------------------------ *)
 (* Stream IO                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -208,6 +230,11 @@ module Stream : sig
   (** The next complete frame, if the fed bytes contain one.
       [`Oversized (id, announced)]: the payload exceeded the soft cap
       and was drained, so the caller can send a typed rejection. *)
+
+  val next_raw :
+    t ->
+    [ `Frame of string | `Oversized of int * int | `Need_more | `Fail of error ]
+  (** {!next} without the decode: the frame's bytes, header checked. *)
 
   val midframe : t -> bool
   (** At least one byte of an incomplete frame is buffered. *)

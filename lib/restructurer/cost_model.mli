@@ -13,7 +13,6 @@ type mode =
   | Doacross_mode of { sync_fraction : float; distance : int }
 
 val show_mode : mode -> string
-val equal_mode : mode -> mode -> bool
 
 type body_profile = {
   flops : float;  (** arithmetic per iteration *)

@@ -49,5 +49,4 @@ val make : techniques:techniques -> Machine.Config.t -> t
 val auto_1991 : Machine.Config.t -> t
 val advanced : Machine.Config.t -> t
 
-val show_techniques : techniques -> string
 val equal_techniques : techniques -> techniques -> bool

@@ -53,14 +53,16 @@ let touch c key e =
   e.stamp <- c.tick;
   Queue.push (key, c.tick) c.recency
 
-let find c key =
+let find ?(valid = fun _ -> true) c key =
   with_lock c (fun () ->
       match Hashtbl.find_opt c.table key with
-      | Some e ->
+      | Some e when valid e.value ->
           Obs.Metrics.incr c.hits;
           touch c key e;
           Some e.value
-      | None ->
+      | found ->
+          (* an invalid entry is dropped like [remove] drops it *)
+          if Option.is_some found then Hashtbl.remove c.table key;
           Obs.Metrics.incr c.misses;
           None)
 

@@ -25,9 +25,10 @@ val create : capacity:int -> 'a t
 val digest : string -> string
 (** Hex digest of an arbitrary content string — the address. *)
 
-val find : 'a t -> string -> 'a option
+val find : ?valid:('a -> bool) -> 'a t -> string -> 'a option
 (** Lookup by key, refreshing the entry's recency.  Counts a hit or a
-    miss. *)
+    miss.  A resident entry failing [valid] (default: none fails) is
+    removed, not evicted, and the lookup counts as a miss. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert (or overwrite) an entry, evicting the LRU entry if the cache

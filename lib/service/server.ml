@@ -1,10 +1,11 @@
 (* Worker-pool restructuring server.  See server.mli for the contract.
 
-   Concurrency structure: submitters and workers meet at a
-   Bounded_queue of tickets; each ticket carries its own mutex/condition
-   pair for the await rendezvous; the counters are the instruments of the
-   server's own registry (atomics, no lock), while the latency reservoir
-   and the breaker live behind one stats mutex; the worker slots and
+   Concurrency structure: submitters resolve cache hits themselves and
+   meet the workers at a Bounded_queue of tickets for misses; each
+   ticket carries its own mutex/condition pair for the await rendezvous;
+   the counters are the instruments of the server's own registry
+   (atomics, no lock), while the latency reservoir, the breaker and the
+   queued-key counts live behind one stats mutex; the worker slots and
    orphan list behind a pool mutex.
 
    Robustness structure (inside-out):
@@ -57,6 +58,7 @@ type outcome =
 
 type ticket = {
   tk_request : request;
+  tk_key : string;  (* [cache_key tk_request], computed once *)
   tk_trace : int;  (* trace id minted at submission, 0 when tracing is off *)
   tk_submitted : float;
   mutable tk_deadline : float;  (* refreshed when a retry starts *)
@@ -65,6 +67,8 @@ type ticket = {
   mutable tk_outcome : outcome option;
   mutable tk_tainted : bool;  (* a visible injected fault touched this job *)
   mutable tk_requeues : int;  (* times requeued after a worker death *)
+  mutable tk_queued : bool;  (* counted in [queued_keys] until resolved *)
+  mutable tk_recheck : bool;  (* a twin was queued: the worker looks up *)
   mutable tk_watchers : (outcome -> unit) list;
       (* completion callbacks (newest first); fired exactly once, on
          whatever thread wins the resolution *)
@@ -152,6 +156,7 @@ type t = {
       (* registries of co-hosted objects (the replicator), on this
          server's page and read by [stats] *)
   stat_mutex : Mutex.t;
+  queued_keys : (string, int) Hashtbl.t;  (* queued or running; stat_mutex *)
   pool_mutex : Mutex.t;
   mutable slots : slot array;
   mutable orphans : (unit Domain.t * wstate) list;
@@ -165,19 +170,10 @@ type t = {
   latencies : Reservoir.t;
 }
 
-(* Options.t is closure-free (records, variants, scalars), so Marshal
-   gives a canonical byte string for the digest.  No_sharing matters:
-   default marshalling emits back-references for physically shared
-   blocks (e.g. equal float constants folded together by the compiler
-   in the machine presets), so a structurally equal record rebuilt
-   elsewhere — decoded off the wire, say — would marshal to different
-   bytes and silently miss the cache.  Without sharing the bytes depend
-   only on the structure, so two equal requests always produce the same
-   key; distinct machine configs or technique sets never collide with
-   each other's results. *)
+(* the MD5 of the request's canonical bytes, the same range a Submit
+   frame ends with *)
 let cache_key (r : request) =
-  Cache.digest
-    (Marshal.to_string (r.req_source, r.req_options) [ Marshal.No_sharing ])
+  Restructurer.Codec.content_key ~source:r.req_source r.req_options
 
 let now () = Unix.gettimeofday ()
 
@@ -262,6 +258,12 @@ let timed name hist f =
       M.observe hist (now () -. t0);
       r)
 
+let count_queued t key delta =
+  with_lock t.stat_mutex (fun () ->
+      let n = delta + Option.value ~default:0 (Hashtbl.find_opt t.queued_keys key) in
+      if n = 0 then Hashtbl.remove t.queued_keys key
+      else Hashtbl.replace t.queued_keys key n)
+
 (* Idempotent: the supervisor may fail a wedged worker's ticket while the
    abandoned worker later finishes and tries to resolve it too; only the
    first resolution counts and wakes the submitter. *)
@@ -281,6 +283,7 @@ let resolve t ticket outcome =
      locks of their own (the aio completion bridge posts into a
      scheduler) and must not be able to deadlock against [await] *)
   List.iter (fun w -> w outcome) (List.rev watchers);
+  if won && ticket.tk_queued then count_queued t ticket.tk_key (-1);
   if won then begin
     let latency_ms = (now () -. ticket.tk_submitted) *. 1000.0 in
     (match outcome with
@@ -351,20 +354,26 @@ let cache_put t key payload =
   | None -> ()
   | Some hook -> ( try hook ~key ~digest payload with _ -> ())
 
+(* one lookup, one hit or miss: an entry whose bytes rotted while
+   resident (or chaos flipped them) is dropped and counts as a miss *)
 let cache_find t key =
-  match Cache.find t.cache key with
+  let intact e =
+    Cache.digest e.e_payload.p_text = e.e_digest
+    || (M.incr t.m.corrupt_dropped; false)
+  in
+  match Cache.find ~valid:intact t.cache key with
   | None -> None
   | Some e ->
-      if Cache.digest e.e_payload.p_text = e.e_digest then begin
-        if e.e_replica then M.incr t.m.replicated_hits;
-        Some e.e_payload
-      end
-      else begin
-        (* bytes rotted while resident: drop, recompute fresh *)
-        Cache.remove t.cache key;
-        M.incr t.m.corrupt_dropped;
-        None
-      end
+      if e.e_replica then M.incr t.m.replicated_hits;
+      Some e.e_payload
+
+(* the one lookup a request gets, in its trace *)
+let lookup t ticket =
+  Obs.Trace.with_trace_id ticket.tk_trace @@ fun () ->
+  Obs.Trace.with_span "cache_lookup" @@ fun csp ->
+  let r = cache_find t ticket.tk_key in
+  Obs.Trace.attr csp "hit" (if r = None then "false" else "true");
+  r
 
 (* Admit a replicated entry pushed by a ring peer.  The origin's digest
    is recomputed here — a push corrupted in flight (or a malicious one)
@@ -530,7 +539,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
               in
               (* only full-fidelity results are cached: a degraded result
                  must not outlive the incident that forced it *)
-              if rung = Full then cache_put t (cache_key r) payload;
+              if rung = Full then cache_put t ticket.tk_key payload;
               A_done payload)
   with
   | Fault.Injected Fault.Worker_kill as e -> raise e
@@ -655,12 +664,7 @@ let process t (ws : wstate) ticket =
   if ticket.tk_outcome <> None then ()  (* already resolved; defensive *)
   else if now () > ticket.tk_deadline then finish Cancelled
   else
-    match
-      Obs.Trace.with_span "cache_lookup" (fun csp ->
-          let r = cache_find t (cache_key ticket.tk_request) in
-          Obs.Trace.attr csp "hit" (if r = None then "false" else "true");
-          r)
-    with
+    match if ticket.tk_recheck then lookup t ticket else None with
     | Some payload -> finish (Done { payload; cached = true })
     | None -> (
         match breaker_route t with
@@ -835,6 +839,7 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       m = instruments metrics;
       attached = [];
       stat_mutex = Mutex.create ();
+      queued_keys = Hashtbl.create 64;
       pool_mutex = Mutex.create ();
       slots = [||];
       orphans = [];
@@ -876,10 +881,11 @@ let oversize_message t request =
     (String.length request.req_source)
     t.max_source_bytes
 
-let make_ticket ?(trace = 0) t request =
+let make_ticket ?(trace = 0) ?key t request =
   let submitted = now () in
   {
     tk_request = request;
+    tk_key = (match key with Some k -> k | None -> cache_key request);
     tk_trace =
       (if trace <> 0 then trace
        else if Obs.Trace.enabled () then Obs.Trace.fresh_trace_id ()
@@ -891,40 +897,69 @@ let make_ticket ?(trace = 0) t request =
     tk_outcome = None;
     tk_tainted = false;
     tk_requeues = 0;
+    tk_queued = false;
+    tk_recheck = false;
     tk_watchers = [];
   }
 
-let submit ?trace t request =
-  let ticket = make_ticket ?trace t request in
-  M.incr t.m.submitted;
-  if source_too_large t request then
-    (* request hygiene: reject before the source ever reaches a parser *)
-    resolve t ticket (Failed (oversize_message t request))
-  else if not (Bounded_queue.push t.queue ticket) then
+(* Admission, on the submitting thread: an oversized source fails, a
+   verified resident entry resolves the ticket at once, and only a miss
+   is offered to [enqueue] — so the queue never sees a hit.  A request
+   whose twin is queued or running defers its lookup to the worker,
+   which reaches it after the twin: a single worker then decides hits
+   in queue order, as a replay needs.  A closed or draining server
+   skips the lookup and answers as its queue does.  Returns the ticket
+   and whether it was admitted. *)
+let admit ?trace ?key t request enqueue =
+  let ticket = make_ticket ?trace ?key t request in
+  let early =
+    if source_too_large t request then
+      (* request hygiene: reject before the source ever reaches a parser *)
+      Some (Failed (oversize_message t request))
+    else if t.shut then None
+    else if
+      with_lock t.stat_mutex (fun () -> Hashtbl.mem t.queued_keys ticket.tk_key)
+    then begin
+      ticket.tk_recheck <- true;
+      None
+    end
+    else
+      Option.map (fun payload -> Done { payload; cached = true }) (lookup t ticket)
+  in
+  match early with
+  | Some outcome ->
+      M.incr t.m.submitted;
+      resolve t ticket outcome;
+      (ticket, true)
+  | None ->
+      ticket.tk_queued <- true;
+      count_queued t ticket.tk_key 1;
+      let queued = enqueue t.queue ticket in
+      if queued then begin
+        M.incr t.m.submitted;
+        M.set_gauge t.m.queue_depth
+          (float_of_int (Bounded_queue.length t.queue))
+      end
+      else begin
+        ticket.tk_queued <- false;
+        count_queued t ticket.tk_key (-1)
+      end;
+      (ticket, queued)
+
+let submit ?trace ?key t request =
+  let ticket, admitted = admit ?trace ?key t request Bounded_queue.push in
+  if not admitted then begin
+    M.incr t.m.submitted;
     resolve t ticket Cancelled
-  else
-    M.set_gauge t.m.queue_depth (float_of_int (Bounded_queue.length t.queue));
+  end;
   ticket
 
-(* Non-blocking admission for front-ends that must shed load instead of
-   waiting on backpressure: [None] means the queue had no room (or was
-   closed) and nothing was submitted. *)
-let try_submit ?trace t request =
-  if source_too_large t request then begin
-    let ticket = make_ticket ?trace t request in
-    M.incr t.m.submitted;
-    resolve t ticket (Failed (oversize_message t request));
-    Some ticket
-  end
-  else begin
-    let ticket = make_ticket ?trace t request in
-    if not (Bounded_queue.try_push t.queue ticket) then None
-    else begin
-      M.incr t.m.submitted;
-      M.set_gauge t.m.queue_depth (float_of_int (Bounded_queue.length t.queue));
-      Some ticket
-    end
-  end
+(* for front-ends that must shed load instead of waiting on
+   backpressure *)
+let try_submit ?trace ?key t request =
+  match admit ?trace ?key t request Bounded_queue.try_push with
+  | ticket, true -> Some ticket
+  | _, false -> None
 
 let await ticket =
   Mutex.lock ticket.tk_mutex;
@@ -941,8 +976,9 @@ let await ticket =
 
 (* Non-blocking completion hook: the fiber front-end registers one of
    these and suspends, instead of parking an OS thread in [await].  If
-   the ticket is already resolved (a cache hit resolves synchronously
-   inside submit) the callback fires immediately on the caller. *)
+   the ticket is already resolved (a cache hit or an oversized source
+   resolves inside submit) the callback fires immediately on the
+   caller. *)
 let on_resolve ticket f =
   let immediate =
     with_lock ticket.tk_mutex (fun () ->

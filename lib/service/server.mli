@@ -4,9 +4,10 @@
     A job carries fortran77 source plus a {!Restructurer.Options.t};
     workers parse, restructure, print, and attach a {!Perfmodel} cycle
     estimate.  Results land in a content-addressed LRU cache keyed by
-    (source, options, machine) — entries are checksummed at insertion
-    and verified on every hit, so a corrupted entry is dropped and
-    recomputed rather than served.  Every job has a wall-clock deadline:
+    {!cache_key} — entries are checksummed at insertion and verified on
+    every hit, so a corrupted entry is dropped and recomputed rather
+    than served.  The lookup happens at submission: a hit is answered on
+    the submitting thread and never reaches a worker.  Every job has a wall-clock deadline:
     jobs that expire while queued come back [Cancelled] without running;
     jobs that exceed it while running are abandoned at the next
     interrupt poll and come back [Timeout].
@@ -83,7 +84,11 @@ type ticket
 type t
 
 val cache_key : request -> string
-(** The content address: digest of source + options + machine config. *)
+(** The content address: the MD5 hex of the request's canonical bytes —
+    source, every option field (machine configuration included) and the
+    target — as {!Restructurer.Codec.put_content} writes them.  A Submit
+    frame ends with the same bytes, so a relay can compute the key from
+    the raw frame ({!Net.Wire.submit_key}); the name never enters it. *)
 
 val create :
   ?queue_capacity:int ->
@@ -177,17 +182,23 @@ val attach_registry : t -> Obs.Metrics.t -> unit
 val effective_workers : t -> int
 (** Worker slots in the pool (after the oversubscription cap). *)
 
-val submit : ?trace:int -> t -> request -> ticket
-(** Enqueue a job; blocks while the queue is full (closed-loop
-    backpressure).  On a closed server the ticket resolves [Cancelled].
-    [trace] carries a caller-minted {!Obs.Trace} id (e.g. one received
-    over the wire) onto the ticket; when omitted (or [0]) a fresh id is
-    minted iff tracing is enabled. *)
+val submit : ?trace:int -> ?key:string -> t -> request -> ticket
+(** Look the request up in the cache and, on a verified hit, resolve
+    the ticket [Done {cached = true}] at once on the calling thread;
+    only a miss is enqueued, blocking while the queue is full
+    (closed-loop backpressure).  On a closed server the ticket resolves
+    [Cancelled].  [key] is the request's {!cache_key} when the caller
+    already has it (computed here otherwise); the ticket carries it, so
+    it is computed once per request.  [trace] carries a caller-minted
+    {!Obs.Trace} id (e.g. one received over the wire) onto the ticket;
+    when omitted (or [0]) a fresh id is minted iff tracing is enabled.
+    The [cache_lookup] span lands in that trace. *)
 
-val try_submit : ?trace:int -> t -> request -> ticket option
+val try_submit : ?trace:int -> ?key:string -> t -> request -> ticket option
 (** Non-blocking {!submit} for front-ends that shed load instead of
-    queuing on backpressure: [None] means the queue had no room (or the
-    server was shutting down) and nothing was enqueued. *)
+    queuing on backpressure: a hit resolves as in [submit]; [None]
+    means a miss found the queue without room (or the server was
+    shutting down) and nothing was enqueued. *)
 
 val await : ticket -> outcome
 (** Block until the job resolves.  Every submitted ticket resolves,
@@ -196,8 +207,8 @@ val await : ticket -> outcome
 val on_resolve : ticket -> (outcome -> unit) -> unit
 (** Register a completion callback instead of blocking: fires exactly
     once, on whatever thread resolves the ticket — or immediately on the
-    caller if the ticket already resolved (cache hits resolve inside
-    submit).  This is the non-blocking half of the fiber front-end's
+    caller if the ticket already resolved (a cache hit resolves inside
+    {!submit} and {!try_submit}).  This is the non-blocking half of the fiber front-end's
     completion-queue bridge: the callback typically posts a wakeup into
     an [Aio] scheduler.  Callbacks run outside the ticket lock and must
     not call {!await} on the same ticket. *)

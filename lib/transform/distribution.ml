@@ -99,13 +99,3 @@ let distribute (h : Ast.do_header) (body : Ast.stmt list)
         (List.map
            (fun g -> Ast.Do ({ h with Ast.locals = [] }, Ast.seq_block g))
            groups)
-
-(** Isolate statement [k] (0-based, top level) into its own loop:
-    [before-loop; stmt-loop; after-loop] with empty groups dropped. *)
-let isolate (h : Ast.do_header) (body : Ast.stmt list) (k : int) :
-    Ast.stmt list option =
-  let n = List.length body in
-  if k < 0 || k >= n then None
-  else
-    let sizes = List.filter (fun s -> s > 0) [ k; 1; n - k - 1 ] in
-    distribute h body sizes

@@ -14,10 +14,3 @@ val distribute :
   int list ->
   Fortran.Ast.stmt list option
 (** Split the body into the given consecutive group sizes. *)
-
-val isolate :
-  Fortran.Ast.do_header ->
-  Fortran.Ast.stmt list ->
-  int ->
-  Fortran.Ast.stmt list option
-(** Isolate top-level statement [k] into its own loop. *)

@@ -2,25 +2,13 @@
     with identical iteration spaces to enlarge the parallel grain, with
     the paper's replication trick for straight-line code between them. *)
 
-val same_bounds : Fortran.Ast.do_header -> Fortran.Ast.do_header -> bool
-
-val fusable :
-  Fortran.Ast.do_header ->
-  Fortran.Ast.stmt list ->
-  Fortran.Ast.do_header ->
-  Fortran.Ast.stmt list ->
-  bool
-(** Legality: shared arrays accessed elementwise-identically and moving
-    with the fused index; shared scalars only flowing forward into
-    write-before-read uses; no index capture. *)
-
 val fuse :
   Fortran.Ast.do_header ->
   Fortran.Ast.stmt list ->
   Fortran.Ast.do_header ->
   Fortran.Ast.stmt list ->
   Fortran.Ast.stmt
-(** Fuse two compatible loops (the caller checks {!fusable}). *)
+(** Fuse two compatible loops; {!fuse_region} checks their legality. *)
 
 val fuse_region :
   Fortran.Ast.stmt ->

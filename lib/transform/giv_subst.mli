@@ -9,10 +9,6 @@
 
 open Fortran
 
-val is_update_of : string -> Ast.stmt -> bool
-(** Is this statement the recursive update of variable [v] (an
-    assignment to [v] in a recognized reduction form)? *)
-
 val uses_follow_update : string -> Ast.stmt list -> bool
 (** No read of [v] occurs before its update in a walk of the body. *)
 

@@ -4,8 +4,4 @@
 
 type placement_default = Default_global | Default_cluster
 
-val cross_cluster_uses : Fortran.Ast.stmt list -> Fortran.Ast_utils.SSet.t
-(** Names used under any SDO/XDO loop, excluding loop indices and
-    loop-local data at every level. *)
-
 val apply : ?default:placement_default -> Fortran.Ast.punit -> Fortran.Ast.punit

@@ -19,12 +19,6 @@ type failure =
 
 exception Fail of failure
 
-let failure_to_string = function
-  | Non_assign_stmt -> "body contains a non-assignment statement"
-  | Non_unit_stride a -> Printf.sprintf "array %s has non-unit stride" a
-  | Scalar_write v -> Printf.sprintf "scalar %s assigned in body" v
-  | User_call f -> Printf.sprintf "call to %s cannot vectorize" f
-
 (** Rewrite an expression over scalar index [i] into its vector form over
     the range [lo..hi]: array references indexed affinely by [i] with unit
     coefficient become sections; [i]-invariant parts stay scalar.

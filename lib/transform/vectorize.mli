@@ -10,8 +10,6 @@ type failure =
 
 exception Fail of failure
 
-val failure_to_string : failure -> string
-
 val vector_expr :
   index:string ->
   lo:Fortran.Ast.expr ->
@@ -23,15 +21,6 @@ val vector_expr :
 (** Rewrite an expression into vector form over [lo..hi]; [expanded] maps
     scalars to their expansion arrays sectioned over [exp_range].
     @raise Fail on shapes a section cannot express *)
-
-val vector_lhs :
-  index:string ->
-  lo:Fortran.Ast.expr ->
-  hi:Fortran.Ast.expr ->
-  ?exp_range:(Fortran.Ast.expr * Fortran.Ast.expr) option ->
-  expanded:(string * string) list ->
-  Fortran.Ast.lhs ->
-  Fortran.Ast.lhs
 
 val vector_stmts :
   index:string ->

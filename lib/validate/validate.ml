@@ -243,6 +243,8 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
       writes
     |> List.map snd |> List.sort_uniq compare
   in
+  (* shared scalars accepted only as mentioned between await and advance *)
+  let synchronized = ref [] in
   List.iter
     (fun v ->
       let sites = List.filter (fun (_, w) -> w = v) writes in
@@ -262,8 +264,23 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
       if not (all_last_value || all_synchronized) then
         issue
           (Printf.sprintf
-             "scalar %s is written in the parallel body but not privatized" v))
+             "scalar %s is written in the parallel body but not privatized" v)
+      else if not all_last_value then synchronized := v :: !synchronized)
     written_scalars;
+  (* such a scalar is carried at distance 1, and [await(s, d)] waits
+     only for iteration i - d: the delay must be the constant 1 *)
+  (match (!await, !synchronized) with
+  | Some (_, [ _; de ]), v :: _ -> (
+      match Ast_utils.const_eval [] de with
+      | None -> issue "await delay factor is not a constant"
+      | Some delay when delay > 1 ->
+          issue
+            (Printf.sprintf
+               "await delay %d exceeds the distance-1 scalar dependence on \
+                %s: iterations closer than the delay are not waited for"
+               delay v)
+      | Some _ -> ())
+  | _ -> ());
 
   (* ---- array dependences ---- *)
   let body_guard_facts =

@@ -289,7 +289,12 @@ let test_cache_corruption_detected () =
   | o -> Alcotest.failf "third run: %s" (outcome_name o));
   let stats = Server.shutdown server in
   Alcotest.(check int) "one corrupt entry dropped" 1
-    stats.Stats.corrupt_dropped
+    stats.Stats.corrupt_dropped;
+  (* one lookup per request: the rotted entry counts as a miss *)
+  Alcotest.(check int) "only the clean entry counts as a hit" 1
+    stats.Stats.cache.Service.Cache.hits;
+  Alcotest.(check int) "the first run and the rotted lookup miss" 2
+    stats.Stats.cache.Service.Cache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Ladder and breaker                                                  *)

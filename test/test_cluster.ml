@@ -1393,6 +1393,61 @@ let test_proxy_read_repair () =
   Alcotest.(check int) "exactly the off-owner hit repaired" 1
     (Cluster.Proxy.read_repair_total proxy)
 
+let test_proxy_malformed_submit () =
+  (* a Submit whose first technique flag is not a bool: the proxy's
+     structural check answers the decoder's R_error on id 0, and no
+     shard ever sees the request *)
+  with_cluster ~n:2 @@ fun proxy handles ->
+  let name = "bad" and source = synth_source 1 in
+  let frame =
+    Bytes.of_string
+      (W.encode ~id:9
+         (W.Submit
+            { W.sub_name = name; sub_source = source; sub_options = opts;
+              sub_trace = 0 }))
+  in
+  Bytes.set frame
+    (W.header_bytes + 4 + String.length name + 8 + 4 + String.length source)
+    '\007';
+  let frame = Bytes.to_string frame in
+  let expected =
+    match W.decode frame with
+    | Error e -> W.error_to_string e
+    | Ok _ -> Alcotest.fail "the corrupted Submit still decodes"
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Cluster.Proxy.port proxy));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  W.write_raw fd frame;
+  let st = W.Stream.create () and buf = Bytes.create 4096 in
+  let rec reply () =
+    match W.Stream.next st with
+    | `Frame (id, msg) -> (id, msg)
+    | `Need_more -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> Alcotest.fail "proxy closed without a reply"
+        | n ->
+            W.Stream.feed st buf 0 n;
+            reply ())
+    | `Oversized _ | `Fail _ -> Alcotest.fail "reply does not decode"
+  in
+  (match reply () with
+  | 0, W.Result (W.R_error msg) ->
+      Alcotest.(check string) "the decoder's error" expected msg
+  | id, msg ->
+      Alcotest.failf "expected R_error on id 0, got %s on id %d"
+        (W.message_kind_name msg) id);
+  List.iter
+    (fun h ->
+      Alcotest.(check int) (h.h_id ^ " saw no submit") 0
+        (Service.Server.stats h.h_svc).Service.Stats.submitted;
+      Alcotest.(check bool) (h.h_id ^ " counted no wire request") true
+        (Obs.Metrics.find (Service.Server.metrics h.h_svc) "net_requests_total"
+        = `Counter 0))
+    handles
+
 (* ------------------------------------------------------------------ *)
 (* Fiber-side upstream                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1931,4 +1986,6 @@ let tests =
       `Quick test_drive_fibers;
     Alcotest.test_case "proxy: read-repair shares the in-flight budget"
       `Slow test_proxy_read_repair_bounded;
+    Alcotest.test_case "proxy: malformed Submit answered typed, never relayed"
+      `Slow test_proxy_malformed_submit;
   ]

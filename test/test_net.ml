@@ -244,6 +244,142 @@ let prop_stream_corruption_total =
       in
       pump 8)
 
+(* one mutation per field of Options.t, the target included: each
+   changes exactly that field *)
+let option_mutations : (string * (Restructurer.Options.t -> Restructurer.Options.t)) list =
+  let open Restructurer.Options in
+  let tech name f = (name, fun o -> { o with techniques = f o.techniques }) in
+  let mach name f = (name, fun o -> { o with machine = f o.machine }) in
+  let fl x = x +. 1.0 in
+  [
+    tech "scalar_privatization" (fun t -> { t with scalar_privatization = not t.scalar_privatization });
+    tech "scalar_expansion" (fun t -> { t with scalar_expansion = not t.scalar_expansion });
+    tech "simple_induction" (fun t -> { t with simple_induction = not t.simple_induction });
+    tech "simple_reduction" (fun t -> { t with simple_reduction = not t.simple_reduction });
+    tech "doacross" (fun t -> { t with doacross = not t.doacross });
+    tech "stripmining" (fun t -> { t with stripmining = not t.stripmining });
+    tech "if_to_where" (fun t -> { t with if_to_where = not t.if_to_where });
+    tech "inline_expansion" (fun t -> { t with inline_expansion = not t.inline_expansion });
+    tech "loop_interchange" (fun t -> { t with loop_interchange = not t.loop_interchange });
+    tech "recurrence_substitution" (fun t -> { t with recurrence_substitution = not t.recurrence_substitution });
+    tech "array_privatization" (fun t -> { t with array_privatization = not t.array_privatization });
+    tech "generalized_reduction" (fun t -> { t with generalized_reduction = not t.generalized_reduction });
+    tech "giv_substitution" (fun t -> { t with giv_substitution = not t.giv_substitution });
+    tech "runtime_dep_test" (fun t -> { t with runtime_dep_test = not t.runtime_dep_test });
+    tech "critical_sections" (fun t -> { t with critical_sections = not t.critical_sections });
+    tech "interprocedural" (fun t -> { t with interprocedural = not t.interprocedural });
+    tech "loop_fusion" (fun t -> { t with loop_fusion = not t.loop_fusion });
+    tech "loop_distribution" (fun t -> { t with loop_distribution = not t.loop_distribution });
+    mach "name" (fun m -> { m with name = m.name ^ "'" });
+    mach "clusters" (fun m -> { m with clusters = m.clusters + 1 });
+    mach "ces_per_cluster" (fun m -> { m with ces_per_cluster = m.ces_per_cluster + 1 });
+    mach "cache_hit" (fun m -> { m with cache_hit = fl m.cache_hit });
+    mach "cluster_scalar" (fun m -> { m with cluster_scalar = fl m.cluster_scalar });
+    mach "global_scalar" (fun m -> { m with global_scalar = fl m.global_scalar });
+    mach "cluster_vector" (fun m -> { m with cluster_vector = fl m.cluster_vector });
+    mach "global_vector" (fun m -> { m with global_vector = fl m.global_vector });
+    mach "global_vector_prefetched" (fun m -> { m with global_vector_prefetched = fl m.global_vector_prefetched });
+    mach "vector_startup" (fun m -> { m with vector_startup = fl m.vector_startup });
+    mach "prefetch_depth" (fun m -> { m with prefetch_depth = m.prefetch_depth + 1 });
+    mach "prefetch" (fun m -> { m with prefetch = not m.prefetch });
+    mach "cache_bytes" (fun m -> { m with cache_bytes = m.cache_bytes + 1 });
+    mach "cdo_startup" (fun m -> { m with cdo_startup = fl m.cdo_startup });
+    mach "cdo_dispatch" (fun m -> { m with cdo_dispatch = fl m.cdo_dispatch });
+    mach "sdo_startup" (fun m -> { m with sdo_startup = fl m.sdo_startup });
+    mach "sdo_dispatch" (fun m -> { m with sdo_dispatch = fl m.sdo_dispatch });
+    mach "await_cost" (fun m -> { m with await_cost = fl m.await_cost });
+    mach "lock_cost" (fun m -> { m with lock_cost = fl m.lock_cost });
+    mach "task_start_ctsk" (fun m -> { m with task_start_ctsk = fl m.task_start_ctsk });
+    mach "task_start_mtsk" (fun m -> { m with task_start_mtsk = fl m.task_start_mtsk });
+    mach "scalar_op" (fun m -> { m with scalar_op = fl m.scalar_op });
+    mach "vector_op" (fun m -> { m with vector_op = fl m.vector_op });
+    mach "intrinsic_op" (fun m -> { m with intrinsic_op = fl m.intrinsic_op });
+    mach "cluster_mem_bytes" (fun m -> { m with cluster_mem_bytes = m.cluster_mem_bytes + 1 });
+    mach "global_mem_bytes" (fun m -> { m with global_mem_bytes = m.global_mem_bytes + 1 });
+    mach "page_bytes" (fun m -> { m with page_bytes = m.page_bytes + 1 });
+    mach "page_fault_cycles" (fun m -> { m with page_fault_cycles = fl m.page_fault_cycles });
+    mach "global_bw" (fun m -> { m with global_bw = fl m.global_bw });
+    mach "cluster_bw" (fun m -> { m with cluster_bw = fl m.cluster_bw });
+    ("max_versions", fun o -> { o with max_versions = o.max_versions + 1 });
+    ("strip", fun o -> { o with strip = o.strip + 1 });
+    ( "inline max_depth",
+      fun o ->
+        { o with inline_limits = { o.inline_limits with max_depth = o.inline_limits.max_depth + 1 } } );
+    ( "inline max_stmts",
+      fun o ->
+        { o with inline_limits = { o.inline_limits with max_stmts = o.inline_limits.max_stmts + 1 } } );
+    ( "placement_default",
+      fun o ->
+        { o with
+          placement_default =
+            (match o.placement_default with
+            | Transform.Globalize.Default_global -> Transform.Globalize.Default_cluster
+            | Transform.Globalize.Default_cluster -> Transform.Globalize.Default_global) } );
+    ("assumed_trip", fun o -> { o with assumed_trip = o.assumed_trip + 1 });
+    ("validate", fun o -> { o with validate = not o.validate });
+    ( "target",
+      fun o ->
+        { o with
+          target =
+            (match o.target with
+            | Codegen.Target.Cedar -> Codegen.Target.Openmp
+            | Codegen.Target.Openmp -> Codegen.Target.Cedar) } );
+  ]
+
+let prop_content_key =
+  QCheck.Test.make
+    ~name:"wire: cache_key is the digest of the Submit's keyed range"
+    ~count:200 ~long_factor:20
+    (QCheck.make G.(pair gen_submit (pair gen_string (int_bound 1_000_000))))
+    (fun (msg, (name', trace')) ->
+      match msg with
+      | W.Submit s ->
+          let key (s : W.submit) =
+            Service.Server.cache_key
+              {
+                Service.Server.req_name = s.W.sub_name;
+                req_source = s.W.sub_source;
+                req_options = s.W.sub_options;
+              }
+          in
+          let frame = W.encode ~id:1 msg in
+          (* the range after the name and the trace id, to the end *)
+          let start = W.header_bytes + 4 + String.length s.W.sub_name + 8 in
+          let range =
+            String.sub frame start (String.length frame - start)
+          in
+          let k = key s in
+          if Digest.to_hex (Digest.string range) <> k then
+            QCheck.Test.fail_report "key is not the digest of the range";
+          if W.submit_key frame <> Some (Ok k) then
+            QCheck.Test.fail_report "submit_key disagrees with cache_key";
+          if key { s with W.sub_name = name'; sub_trace = trace' } <> k then
+            QCheck.Test.fail_report "name or trace changed the key";
+          List.iter
+            (fun (field, mutate) ->
+              if key { s with W.sub_options = mutate s.W.sub_options } = k
+              then QCheck.Test.fail_reportf "changing %s kept the key" field)
+            option_mutations;
+          true
+      | _ -> QCheck.Test.fail_report "generator made a non-Submit")
+
+let prop_submit_key_agrees =
+  (* the proxy's structural check stands in for the decoder: on any
+     one-byte corruption of a Submit it must give the decoder's verdict *)
+  QCheck.Test.make ~name:"wire: submit_key agrees with decode on corruption"
+    ~count:500 ~long_factor:20
+    (QCheck.make G.(pair gen_submit (int_bound 100_000)))
+    (fun (msg, at) ->
+      let frame = Bytes.of_string (W.encode ~id:5 msg) in
+      let n = Bytes.length frame - W.header_bytes in
+      let pos = W.header_bytes + (at mod n) in
+      Bytes.set frame pos (Char.chr (Char.code (Bytes.get frame pos) lxor 0x40));
+      let frame = Bytes.to_string frame in
+      match (W.submit_key frame, W.decode frame) with
+      | Some (Ok _), Ok (_, W.Submit _) -> true
+      | Some (Error e), Error e' -> e = e'
+      | _ -> QCheck.Test.fail_report "submit_key and decode disagree")
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial decoder unit tests                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1282,4 +1418,6 @@ let tests =
       test_client_connect_fast_fail;
     Alcotest.test_case "client: stream reads, byte count, typed timeout"
       `Quick test_client_stream_reads;
+    QCheck_alcotest.to_alcotest prop_content_key;
+    QCheck_alcotest.to_alcotest prop_submit_key_agrees;
   ]

@@ -634,6 +634,52 @@ let test_shutdown_with_full_queue () =
     tickets;
   Alcotest.(check int) "all completed" 6 stats.Stats.completed
 
+let test_hit_bypasses_blocked_worker () =
+  (* the only worker is asleep in an injected delay and the queue is
+     full: a resident request is still answered at once, from the
+     cache, on the submitting thread — it never touches the queue *)
+  let fault = Fault.create ~delay_ms:300.0 [ (Fault.Exec_delay, 0.0) ] in
+  let server =
+    Server.create ~workers:1 ~queue_capacity:1 ~cache_capacity:16 ~fault ()
+  in
+  let req i = Traffic.nth_request ~seed:23 ~size_jitter:0 ~batch:1 i in
+  ignore (payload_exn "warm-up" (Server.run server (req 0)));
+  Fault.set_prob fault Fault.Exec_delay 1.0;
+  let blocked = Server.submit server (req 1) in
+  let gauge name =
+    match Obs.Metrics.find (Server.metrics server) name with
+    | `Gauge d -> d
+    | _ -> Alcotest.failf "no gauge %s" name
+  in
+  (* the worker has taken the job and sleeps in the injected delay *)
+  while gauge "service_workers_busy" < 1.0 do
+    Thread.delay 0.001
+  done;
+  let rec fill i =
+    match Server.try_submit server (req i) with
+    | Some t -> t :: fill (i + 1)
+    | None -> []
+  in
+  let queued = fill 2 in
+  let depth () = gauge "service_queue_depth" in
+  let before = depth () in
+  let t0 = Unix.gettimeofday () in
+  (match Server.try_submit server (req 0) with
+  | None -> Alcotest.fail "resident request shed by a full queue"
+  | Some t ->
+      let _, cached = payload_exn "resident" (Server.await t) in
+      Alcotest.(check bool) "served from the cache" true cached);
+  Alcotest.(check bool) "answered without waiting for the worker" true
+    (Unix.gettimeofday () -. t0 < 0.15);
+  Alcotest.(check (float 0.0)) "queue depth unchanged" before (depth ());
+  Alcotest.(check bool) "the queue is still full" true
+    (Server.try_submit server (req 99) = None);
+  Fault.set_prob fault Fault.Exec_delay 0.0;
+  List.iter
+    (fun t -> ignore (payload_exn "queued" (Server.await t)))
+    (blocked :: queued);
+  ignore (Server.shutdown server)
+
 let tests =
   [
     Alcotest.test_case "queue: fifo + high water + close" `Quick test_queue_fifo;
@@ -684,4 +730,6 @@ let tests =
       test_duplicate_submission_races_cache_fill;
     Alcotest.test_case "cold: shutdown drains a full queue" `Quick
       test_shutdown_with_full_queue;
+    Alcotest.test_case "hit: answered while the only worker is blocked"
+      `Quick test_hit_bypasses_blocked_worker;
   ]

@@ -104,6 +104,37 @@ let test_no_await_static () =
   Alcotest.(check bool) "flagged" true
     (any_issue_mentions "no await" (static_issues no_await_doacross))
 
+(* CDOACROSS carrying a shared scalar: [s] flows from iteration i - 1,
+   but await(1, 3) waits only for iteration i - 3.  The delay covers the
+   distance-3 array dependence and not the scalar; [delay] 1 covers
+   both *)
+let scalar_doacross delay =
+  Printf.sprintf
+    {|
+      program p
+      real a(100)
+      cluster a
+      s = 0.0
+      do i = 1, 100
+        a(i) = i
+      enddo
+      cdoacross i = 4, 100
+        call await(1, %d)
+        s = s + a(i - 3)
+        a(i) = s
+        call advance(1)
+      end cdoacross
+      print *, s, a(100)
+      end
+|}
+    delay
+
+let test_scalar_delay_static () =
+  let issues = static_issues (scalar_doacross 3) in
+  Alcotest.(check bool) "flagged with the delay wording" true
+    (any_issue_mentions "await delay 3 exceeds the distance-1 scalar" issues
+    && any_issue_mentions " s:" issues)
+
 (* scalar temporary written and read per iteration without privatization *)
 let unprivatized_scalar =
   {|
@@ -322,4 +353,8 @@ let tests =
       test_driver_demotes;
     Alcotest.test_case "driver output self-validates" `Quick
       test_driver_output_validates;
+    Alcotest.test_case "DOACROSS scalar beyond the delay: static" `Quick
+      test_scalar_delay_static;
+    Alcotest.test_case "clean DOACROSS scalar at delay 1 passes" `Quick
+      (check_clean "scalar doacross" (scalar_doacross 1));
   ]
